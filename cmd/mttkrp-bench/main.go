@@ -13,7 +13,6 @@
 //	mttkrp-bench -serve -sparse -density 0.01  # COO workload through the nnz-partitioned sparse path
 //	mttkrp-bench -serve -fuse=off              # A/B half: batch-level KRP fusion disabled
 //	mttkrp-bench -serve -simd=off              # A/B half: scalar reference kernels
-//	mttkrp-bench -serve -numa=on               # A/B half: topology-aware placement on the served side
 //	mttkrp-bench -kernels                      # per-kernel GFLOP/s table, scalar vs vectorized
 //	mttkrp-bench -serve-http               # HTTP load against an in-process listener
 //	mttkrp-bench -serve-http -addr http://host:8080 -requests 256
@@ -83,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	density := fs.Float64("density", 0.01, "serving: fill fraction of the sparse tensors (with -sparse)")
 	fuse := fs.String("fuse", "on", "serving: batch-level KRP fusion on the served side, on or off (run both for the A/B; tables carry a fuse-hit column)")
 	simdAB := fs.String("simd", "on", "vectorized kernels, on or off (off forces the scalar reference; applies to -serve, -serve-http and -kernels)")
-	numaAB := fs.String("numa", "off", "serving: topology-aware placement on the served side, on or off (on builds the server pool over the detected host topology — MTTKRP_TOPOLOGY overrides detection; run both for the A/B, results are bit-identical)")
 	kernelsMode := fs.Bool("kernels", false, "print the per-kernel GFLOP/s table (scalar vs vectorized) instead of figure regeneration")
 	kernelTime := fs.Duration("kernel-mintime", 20*time.Millisecond, "kernels: minimum measured time per cell (larger = steadier numbers)")
 	diffBase := fs.String("diff-base", "", "base go-test-json benchmark artifact (BENCH_<sha>.json); with -diff-head, print the per-benchmark delta table and exit")
@@ -138,15 +136,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return cli.UsageError{Msg: "-simd applies to the serving load generators and -kernels; pass -serve, -serve-http or -kernels"}
 	}
 	noSIMD := *simdAB == "off"
-	if *numaAB != "on" && *numaAB != "off" {
-		return cli.UsageError{Msg: fmt.Sprintf("-numa: unknown value %q (want on or off)", *numaAB)}
-	}
-	numaSet := false
-	fs.Visit(func(f *flag.Flag) { numaSet = numaSet || f.Name == "numa" })
-	if numaSet && !*serveMode && !*serveHTTP {
-		return cli.UsageError{Msg: "-numa applies to the serving load generators; pass -serve or -serve-http"}
-	}
-	numaOn := *numaAB == "on"
 	if *sparse && !*serveMode && !*serveHTTP {
 		return cli.UsageError{Msg: "-sparse applies to the serving load generators; pass -serve or -serve-http"}
 	}
@@ -217,7 +206,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				Mmap:     *mmap,
 				NoFusion: noFusion,
 				NoSIMD:   noSIMD,
-				NUMA:     numaOn,
 				Out:      func(format string, a ...any) { fmt.Fprintf(stdout, format, a...) },
 			})
 			if err != nil {
@@ -246,7 +234,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Density:  *density,
 			NoFusion: noFusion,
 			NoSIMD:   noSIMD,
-			NUMA:     numaOn,
 			Out:      func(format string, a ...any) { fmt.Fprintf(stdout, format, a...) },
 		})
 		if err != nil {

@@ -29,7 +29,7 @@
 //
 // Usage:
 //
-//	mttkrp-serve [-workers N] [-minworkers N] [-maxactive N] [-nobatch] [-evensplit] [-maxshare F] [-numa on|off]
+//	mttkrp-serve [-workers N] [-minworkers N] [-maxactive N] [-nobatch] [-evensplit] [-maxshare F]
 //	mttkrp-serve -listen :8080 [-rps R] [-burst B] [-maxinflight BYTES] [-maxpayload BYTES] [-maxqueuedelay D] [-tensor-root DIR]
 //
 // Admission is cost-aware by default: budgets are weighted by request
@@ -195,7 +195,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	noBatch := fs.Bool("nobatch", false, "disable same-shape request batching")
 	noFuse := fs.Bool("nofuse", false, "disable batch-level KRP fusion (coalesced batches recompute the Khatri-Rao intermediate per member; the measured baseline)")
 	noSIMD := fs.Bool("nosimd", false, "force the scalar reference kernels for this process (equivalent to MTTKRP_NOSIMD=1; the -simd A/B's served half)")
-	numa := fs.String("numa", "off", "topology-aware placement, on or off (on builds the worker pool over the detected host topology — NUMA-node domains from sysfs, MTTKRP_TOPOLOGY override — so leases pack into domains and buffers are first-touched locally; results are bit-identical either way, and single-domain hosts fall back to the flat model)")
 	evenSplit := fs.Bool("evensplit", false, "revert admission to the even-split FIFO policy (baseline; default is cost-aware with an aging queue)")
 	maxShare := fs.Float64("maxshare", 0, "cost-aware admission: cap one request's share of the pool width, 0 < v <= 1 (0 = no cap)")
 	maxQueueDelay := fs.Duration("maxqueuedelay", 0, "HTTP: shed requests (429) whose projected queue delay exceeds this (0 = queue everything)")
@@ -217,9 +216,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if *listen == "" && (*rps != 0 || *burst != 0 || *maxInflight != 0 || *maxPayload != 0 || *maxQueueDelay != 0 || *tensorRoot != "") {
 		return cli.UsageError{Msg: "-rps/-burst/-maxinflight/-maxpayload/-maxqueuedelay/-tensor-root apply to the HTTP front end; pass -listen"}
 	}
-	if *numa != "on" && *numa != "off" {
-		return cli.UsageError{Msg: fmt.Sprintf("-numa: unknown value %q (want on or off)", *numa)}
-	}
 	if *noSIMD {
 		// Before any serving work starts: the dispatch swap is process-global
 		// and unsynchronized by design (see internal/simd).
@@ -234,11 +230,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		DisableFusion:   *noFuse,
 		EvenSplit:       *evenSplit,
 		MaxShare:        *maxShare,
-	}
-	if *numa == "on" {
-		topo := repro.DetectTopology()
-		serveCfg.Topology = topo
-		fmt.Fprintf(stderr, "mttkrp-serve: placement on — %s\n", topo)
 	}
 
 	if *listen != "" {

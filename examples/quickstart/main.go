@@ -59,7 +59,7 @@ func main() {
 }
 
 // fillFromModel evaluates the rank-R model into x.
-func fillFromModel(x *repro.Tensor, u []repro.Matrix) {
+func fillFromModel(x *repro.Dense, u []repro.Matrix) {
 	idx := make([]int, x.Order())
 	data := x.Data()
 	for l := range data {
@@ -76,7 +76,7 @@ func fillFromModel(x *repro.Tensor, u []repro.Matrix) {
 	}
 }
 
-func addNoise(x *repro.Tensor, level float64, rng *rand.Rand) {
+func addNoise(x *repro.Dense, level float64, rng *rand.Rand) {
 	data := x.Data()
 	for i := range data {
 		data[i] += level * rng.NormFloat64()

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/mat"
-	"repro/internal/parallel"
 	"repro/internal/serve"
 	"repro/internal/simd"
 	"repro/internal/tensor"
@@ -68,11 +67,6 @@ type HTTPLoadConfig struct {
 	// NoFusion, it cannot reach an external listener — there, start the
 	// listener with mttkrp-serve -nosimd instead.
 	NoSIMD bool
-	// NUMA enables topology-aware placement on the in-process listener
-	// (the -numa=on half of the A/B; see ServeLoadConfig.NUMA). Ignored
-	// when URL targets an external listener — there, start the listener
-	// with mttkrp-serve -numa=on instead.
-	NUMA bool
 	// Out receives OBS commentary lines (may be nil).
 	Out func(format string, args ...any)
 }
@@ -133,12 +127,8 @@ func HTTPLoad(cfg HTTPLoadConfig) (*Table, error) {
 	url := cfg.URL
 	var srv *transport.Server // non-nil only for the in-process listener
 	if url == "" {
-		var topo *parallel.Topology
-		if cfg.NUMA {
-			topo = parallel.DetectTopology()
-		}
 		srv = transport.NewServer(transport.Config{
-			Serve:      serve.Config{Workers: cfg.Workers, DisableFusion: cfg.NoFusion, Topology: topo},
+			Serve:      serve.Config{Workers: cfg.Workers, DisableFusion: cfg.NoFusion},
 			TensorRoot: tensorRoot,
 		})
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -148,7 +138,7 @@ func HTTPLoad(cfg HTTPLoadConfig) (*Table, error) {
 		go srv.Serve(l)
 		defer srv.Close()
 		url = "http://" + l.Addr().String()
-		cfg.Out("OBS http: started in-process listener %s (%d workers, fusion %s, simd %s, numa %s)\n", url, srv.Workers(), onOff(!cfg.NoFusion), onOff(!cfg.NoSIMD), onOff(cfg.NUMA))
+		cfg.Out("OBS http: started in-process listener %s (%d workers, fusion %s, simd %s)\n", url, srv.Workers(), onOff(!cfg.NoFusion), onOff(!cfg.NoSIMD))
 	}
 
 	client := transport.NewClient(url)

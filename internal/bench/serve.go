@@ -54,26 +54,8 @@ type ServeLoadConfig struct {
 	// happens before any load starts; the previous dispatch is restored
 	// on return.
 	NoSIMD bool
-	// NUMA enables topology-aware placement on the served side (the
-	// -numa=on half of the A/B): the server pool is built over the
-	// detected host topology, so leases pack into placement domains,
-	// worker buffers are first-touched on their owning domain, and the
-	// budget split prefers filling one domain before spilling. On a
-	// single-domain host this is the flat model exactly; results are
-	// bit-identical either way. The naive per-request-pool baseline stays
-	// flat in both halves.
-	NUMA bool
 	// Out receives OBS commentary lines (may be nil).
 	Out func(format string, args ...any)
-}
-
-// topology resolves the served side's placement topology: the detected
-// host topology with NUMA on, nil (flat) otherwise.
-func (c *ServeLoadConfig) topology() *parallel.Topology {
-	if c.NUMA {
-		return parallel.DetectTopology()
-	}
-	return nil
 }
 
 // serveLoadResult aggregates one measured series.
@@ -153,8 +135,8 @@ func ServeLoad(cfg ServeLoadConfig) (*Table, error) {
 	}
 
 	tb := NewTable(
-		fmt.Sprintf("Serving throughput — %s MTTKRP %v rank %d mode %d, %d requests per level, fusion %s, simd %s, numa %s",
-			layoutTag(cfg.Sparse, cfg.Density, x), cfg.Dims, cfg.Rank, cfg.Mode, cfg.Requests, onOff(!cfg.NoFusion), onOff(!cfg.NoSIMD), onOff(cfg.NUMA)),
+		fmt.Sprintf("Serving throughput — %s MTTKRP %v rank %d mode %d, %d requests per level, fusion %s, simd %s",
+			layoutTag(cfg.Sparse, cfg.Density, x), cfg.Dims, cfg.Rank, cfg.Mode, cfg.Requests, onOff(!cfg.NoFusion), onOff(!cfg.NoSIMD)),
 		"conc", "served req/s", "naive req/s", "speedup",
 		"served p50 ms", "served p95 ms", "served p99 ms",
 		"naive p50 ms", "naive p95 ms", "naive p99 ms", "fuse hit")
@@ -319,8 +301,8 @@ func serveMixLoad(cfg ServeLoadConfig) (*Table, error) {
 	}
 
 	tb := NewTable(
-		fmt.Sprintf("Mixed serving load — %s base %v rank %d, mix %s, %d requests per level, fusion %s, simd %s, numa %s",
-			layoutTag(cfg.Sparse, cfg.Density, nil), cfg.Dims, cfg.Rank, cfg.Mix, cfg.Requests, onOff(!cfg.NoFusion), onOff(!cfg.NoSIMD), onOff(cfg.NUMA)),
+		fmt.Sprintf("Mixed serving load — %s base %v rank %d, mix %s, %d requests per level, fusion %s, simd %s",
+			layoutTag(cfg.Sparse, cfg.Density, nil), cfg.Dims, cfg.Rank, cfg.Mix, cfg.Requests, onOff(!cfg.NoFusion), onOff(!cfg.NoSIMD)),
 		"conc", "policy", "class", "req/s", "p50 ms", "p95 ms", "p99 ms")
 
 	for _, conc := range cfg.Conc {
@@ -351,7 +333,7 @@ func serveMixLoad(cfg ServeLoadConfig) (*Table, error) {
 // recording latency per class. It returns the scheduler's counter snapshot
 // taken after the load drains (queue-wait highs and aging reorders).
 func runMixPolicy(cfg ServeLoadConfig, classes []mixClass, seq []int, conc int, evenSplit bool) ([][]time.Duration, time.Duration, serve.Stats) {
-	srv := serve.New(serve.Config{Workers: cfg.Workers, EvenSplit: evenSplit, DisableFusion: cfg.NoFusion, Topology: cfg.topology()})
+	srv := serve.New(serve.Config{Workers: cfg.Workers, EvenSplit: evenSplit, DisableFusion: cfg.NoFusion})
 	defer srv.Close()
 	// Warm every class's shape-keyed workspace set (and the scheduler's
 	// service-rate estimate) before timing.
@@ -437,7 +419,7 @@ func driveLoad(cfg ServeLoadConfig, x tensor.Interface, conc int, request func(d
 // runServed measures the admission-controlled scheduler under load,
 // returning its counter snapshot alongside (the fusion hit rate column).
 func runServed(cfg ServeLoadConfig, x tensor.Interface, u []mat.View, conc int) (serveLoadResult, serve.Stats) {
-	s := serve.New(serve.Config{Workers: cfg.Workers, DisableFusion: cfg.NoFusion, Topology: cfg.topology()})
+	s := serve.New(serve.Config{Workers: cfg.Workers, DisableFusion: cfg.NoFusion})
 	defer s.Close()
 	// Warm the shape-keyed workspace set once, as a steady-state server
 	// would be.

@@ -19,7 +19,7 @@ import (
 type Config struct {
 	// Rank is the number of components C (required, ≥ 1).
 	Rank int
-	// MaxIters bounds the number of ALS sweeps; default 50.
+	// MaxIters bounds the number of ALS sweeps; default DefaultMaxIters.
 	MaxIters int
 	// Tol stops the iteration when the fit improves by less than this
 	// between sweeps; default 1e-4 (the Tensor Toolbox default). Set
@@ -65,9 +65,12 @@ type Config struct {
 	PhaseNotify func()
 }
 
+// DefaultMaxIters is the sweep budget a zero Config.MaxIters selects.
+const DefaultMaxIters = 50
+
 func (c Config) withDefaults() Config {
 	if c.MaxIters <= 0 {
-		c.MaxIters = 50
+		c.MaxIters = DefaultMaxIters
 	}
 	if c.Tol == 0 {
 		c.Tol = 1e-4

@@ -1,7 +1,6 @@
 package cpd
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -70,88 +69,5 @@ func TestALSReconcileAtSweepBoundaries(t *testing.T) {
 	}
 	if d := res.Fit - ref.Fit; d > 1e-12 || d < -1e-12 {
 		t.Fatalf("fit %v under resizing vs %v fixed-width (must be deterministic)", res.Fit, ref.Fit)
-	}
-}
-
-// TestALSRetargetChurnBitIdentical pins the placement contract through a
-// full decomposition: a CP-ALS run whose lease starts spilled across two
-// placement domains, tops up, and migrates home at a mid-run sweep
-// boundary must produce math.Float64bits-identical factors to the same
-// run on a flat pool. Placement moves work and pages, never accumulation
-// order — the slot-level migration mechanics of the exact same scenario
-// are pinned in package parallel (TestPlacementRetargetMigration); this
-// test pins the arithmetic. Run under -race it also exercises the
-// migration path against concurrent kernel dispatch.
-func TestALSRetargetChurnBitIdentical(t *testing.T) {
-	topo, err := parallel.ParseTopology("0-3;4-5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Width-7 placed team: slots {1,2,3,6} in domain 0, {4,5} in domain 1.
-	pool := parallel.NewPoolPlaced(7, topo)
-	defer pool.Close()
-
-	lA := pool.Lease(2) // takes domain 1's first slot
-	lB := pool.Lease(4) // takes three domain-0 slots
-	// One free slot per domain left: the CP lease is forced to spill.
-	lCP := pool.Lease(3)
-	defer lCP.Close()
-	if lCP.Width() != 3 {
-		t.Fatalf("CP lease width = %d, want 3 (one home + one spilled slot)", lCP.Width())
-	}
-
-	x := tensor.Random(rand.New(rand.NewSource(3)), 14, 12, 10)
-	cfg := Config{Rank: 3, MaxIters: 6, Tol: -1, Seed: 7, Threads: 3}
-
-	var widths []int
-	churn := cfg
-	churn.Pool = lCP
-	churn.PhaseNotify = func() {
-		widths = append(widths, lCP.Width())
-		switch len(widths) {
-		case 2:
-			lB.Close() // domain 0 frees: the next boundary migrates the spilled slot home
-		case 4:
-			lA.Close() // more churn; the lease is already fully home
-		}
-	}
-	res, err := ALS(x, churn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range widths {
-		if w != 3 {
-			t.Fatalf("sweep %d ran at width %d, want constant 3 (migration must not touch the budget; trace %v)", i+1, w, widths)
-		}
-	}
-
-	flatPool := parallel.NewPool(7)
-	defer flatPool.Close()
-	lFlat := flatPool.Lease(3)
-	defer lFlat.Close()
-	flat := cfg
-	flat.Pool = lFlat
-	ref, err := ALS(x, flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if math.Float64bits(res.Fit) != math.Float64bits(ref.Fit) {
-		t.Fatalf("fit bits differ: %v vs %v", res.Fit, ref.Fit)
-	}
-	for i := range ref.K.Lambda {
-		if math.Float64bits(res.K.Lambda[i]) != math.Float64bits(ref.K.Lambda[i]) {
-			t.Fatalf("lambda[%d] bits differ: %v vs %v", i, res.K.Lambda[i], ref.K.Lambda[i])
-		}
-	}
-	for m, want := range ref.K.Factors {
-		got := res.K.Factors[m]
-		for i := 0; i < want.R; i++ {
-			for j := 0; j < want.C; j++ {
-				if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
-					t.Fatalf("factor %d (%d,%d) bits differ: %v vs %v", m, i, j, got.At(i, j), want.At(i, j))
-				}
-			}
-		}
 	}
 }

@@ -75,26 +75,15 @@ type Lease struct {
 	next   atomic.Int64        // dynamic-schedule chunk counter
 	perr   atomic.Pointer[any] // first worker panic of the current region
 	wsKey  string              // workspace shape key ("" = the pool's general list)
-	domain int                 // home placement domain (0 on flat pools)
-	// physCap caps the goroutines a dispatch uses (caller included)
-	// without narrowing the logical width or the slot reservation: the
-	// first physCap-1 slots stride over the remaining logical indices. A
-	// placement-aware scheduler sets it to keep a wide budget's work on
-	// one domain — results are untouched because logical worker indices,
-	// not goroutine count, decide them. 0 means uncapped.
-	physCap atomic.Int32
-	closed  bool
+	closed bool
 }
 
 // Lease reserves up to width-1 of the pool's persistent workers as a
 // dedicated execution context (width <= 0 asks for Effective(0)).
 // Reservation is best-effort: if fewer workers are currently unreserved,
 // the lease starts narrower and tops up — at Resize, or at the next
-// dispatch after other leases release workers. On a placed pool the
-// reservation prefers a single placement domain — the lease's home domain
-// — spilling into other domains only when the home cannot cover the
-// width. Close the lease to return its workers. Spawn-mode pools cannot
-// be leased.
+// dispatch after other leases release workers. Close the lease to return
+// its workers. Spawn-mode pools cannot be leased.
 func (p *Pool) Lease(width int) *Lease {
 	if p.spawn {
 		panic("parallel: cannot lease a spawn-mode pool")
@@ -107,18 +96,10 @@ func (p *Pool) Lease(width int) *Lease {
 		p.mu.Unlock()
 		panic("parallel: Lease on a closed Pool")
 	}
-	l.slots, l.domain = p.reserveLocked(width-1, -1)
+	l.slots = p.reserveLocked(width - 1)
 	p.mu.Unlock()
 	l.width.Store(int32(1 + len(l.slots)))
 	return l
-}
-
-// Domain returns the lease's home placement domain — the domain its slot
-// reservation packs into first. Flat pools have a single implicit domain 0.
-func (l *Lease) Domain() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.domain
 }
 
 // Width returns the currently granted dispatch width (reserved workers
@@ -172,24 +153,6 @@ func (l *Lease) Resize(width int) {
 	l.reconcile()
 }
 
-// SetSlotCap caps the physical goroutines the lease's dispatches use —
-// caller slot included — at k, or removes the cap when k <= 0. The cap is
-// purely physical: the lease still reserves (and accounts for) its full
-// target width, Effective and Width still report the logical budget, and
-// every logical worker still executes — the first k-1 reserved slots
-// stride over the extra logical indices. A placement-aware scheduler uses
-// this to pin a budget wider than one domain onto domain-local workers:
-// the bytes stay on one socket while the kernel-visible width — and
-// therefore every result bit — matches the uncapped grant. Safe to call
-// concurrently with dispatches; a mid-region change applies at the next
-// region boundary.
-func (l *Lease) SetSlotCap(k int) {
-	if k < 0 {
-		k = 0
-	}
-	l.physCap.Store(int32(k))
-}
-
 // Reconcile applies any pending budget change (a Resize issued by the
 // admission policy while this lease was mid-region) and returns the
 // granted width. It is the phase-boundary hook of the serving stack:
@@ -199,19 +162,9 @@ func (l *Lease) SetSlotCap(k int) {
 // only between requests. Unlike the opportunistic reconciliation inside
 // Effective (which TryLocks and gives up under contention), Reconcile
 // blocks until the lease is idle, so the pending target is guaranteed
-// applied when it returns.
-//
-// On a placed pool, Reconcile is also the migration point: any slot the
-// lease holds outside its home domain is swapped for a slot the home
-// domain has freed since — so a lease that started spilled (or was
-// displaced by a rebalance) drifts back onto one socket at the next phase
-// boundary rather than mid-region. Migration moves work between physical
-// workers only; logical worker indices, and therefore results, are
-// untouched.
-//
-// It must be called from the lease's dispatching goroutine (or with no
-// region in flight); calling it from inside a region body would deadlock
-// like any other dispatch.
+// applied when it returns. It must be called from the lease's dispatching
+// goroutine (or with no region in flight); calling it from inside a
+// region body would deadlock like any other dispatch.
 func (l *Lease) Reconcile() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -219,15 +172,11 @@ func (l *Lease) Reconcile() int {
 		return 1
 	}
 	l.applyTargetLocked()
-	l.migrateLocked()
 	return 1 + len(l.slots)
 }
 
-// applyTargetLocked reconciles the reservation with the target width. On
-// a placed pool, growth asks for slots near the home domain (re-choosing
-// the home if the lease currently holds nothing) and shrinking releases
-// off-domain slots first, so budget churn tightens placement instead of
-// shuffling it. Callers hold l.mu.
+// applyTargetLocked reconciles the reservation with the target width.
+// Callers hold l.mu.
 func (l *Lease) applyTargetLocked() {
 	want := int(l.target.Load()) - 1
 	if want < 0 {
@@ -236,67 +185,13 @@ func (l *Lease) applyTargetLocked() {
 	p := l.parent
 	p.mu.Lock()
 	if len(l.slots) > want {
-		if p.placed() {
-			l.packSlotsLocked()
-		}
 		p.releaseLocked(l.slots[want:])
 		l.slots = l.slots[:want]
 	} else if len(l.slots) < want {
-		home := l.domain
-		if p.placed() && len(l.slots) == 0 {
-			home = -1 // nothing held: let the pool pick the best home now
-		}
-		slots, dom := p.reserveLocked(want-len(l.slots), home)
-		l.slots = append(l.slots, slots...)
-		l.domain = dom
+		l.slots = append(l.slots, p.reserveLocked(want-len(l.slots))...)
 	}
 	p.mu.Unlock()
 	l.width.Store(int32(1 + len(l.slots)))
-}
-
-// packSlotsLocked stably reorders the lease's slots so home-domain slots
-// come first; the shrink path then releases the off-domain tail. Slot
-// order only decides which physical worker serves which logical index, so
-// reordering between regions cannot change results. Callers hold l.mu and
-// l.parent.mu.
-func (l *Lease) packSlotsLocked() {
-	p := l.parent
-	kept := make([]leaseSlot, 0, len(l.slots))
-	var off []leaseSlot
-	for _, s := range l.slots {
-		if p.topo.SlotDomain(s.id) == l.domain {
-			kept = append(kept, s)
-		} else {
-			off = append(off, s)
-		}
-	}
-	l.slots = append(kept, off...)
-}
-
-// migrateLocked retargets the lease toward its home domain: each slot held
-// outside the home is exchanged for a free home-domain slot, if the home
-// has any. Callers hold l.mu.
-func (l *Lease) migrateLocked() {
-	p := l.parent
-	if !p.placed() {
-		return
-	}
-	p.mu.Lock()
-	for i := range l.slots {
-		if p.topo.SlotDomain(l.slots[i].id) == l.domain {
-			continue
-		}
-		t, ok := p.reserveOneInDomainLocked(l.domain)
-		if !ok {
-			break // home domain full: keep the spilled slots for now
-		}
-		p.releaseLocked(l.slots[i : i+1])
-		l.slots[i] = t
-	}
-	// Home slots lead the slice after a migration so a physical slot cap
-	// (which dispatches on the slot prefix) lands on domain-local workers.
-	l.packSlotsLocked()
-	p.mu.Unlock()
 }
 
 // Close releases the lease's workers back to the parent pool. The lease
@@ -353,9 +248,6 @@ func (l *Lease) dispatch(j job) {
 		l.applyTargetLocked()
 	}
 	pw := 1 + len(l.slots)
-	if cap := int(l.physCap.Load()); cap > 0 && pw > cap {
-		pw = cap
-	}
 	if pw > j.t {
 		pw = j.t
 	}

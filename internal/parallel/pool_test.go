@@ -241,6 +241,31 @@ func TestPoolDispatchSteadyStateAllocFree(t *testing.T) {
 	if a := testing.AllocsPerRun(50, func() { p.ReduceSum(4, parts) }); a > 0 {
 		t.Errorf("Pool.ReduceSum allocates %.1f/op", a)
 	}
+
+	// The same pins on a lease, including a region logically wider than
+	// the lease (workers stride over the extra indices) and the
+	// phase-boundary Reconcile with no pending budget change.
+	l := p.Lease(3)
+	defer l.Close()
+	l.For(3, 64, body)
+	if a := testing.AllocsPerRun(50, func() { l.For(3, 64, body) }); a > 0 {
+		t.Errorf("Lease.For allocates %.1f/op with a pre-bound body", a)
+	}
+	if a := testing.AllocsPerRun(50, func() { l.Run(3, runBody) }); a > 0 {
+		t.Errorf("Lease.Run allocates %.1f/op with a pre-bound body", a)
+	}
+	if a := testing.AllocsPerRun(50, func() { l.ForDynamic(3, 64, 8, body) }); a > 0 {
+		t.Errorf("Lease.ForDynamic allocates %.1f/op with a pre-bound body", a)
+	}
+	if a := testing.AllocsPerRun(50, func() { l.ReduceSum(3, parts) }); a > 0 {
+		t.Errorf("Lease.ReduceSum allocates %.1f/op", a)
+	}
+	if a := testing.AllocsPerRun(50, func() { l.For(8, 64, body) }); a > 0 {
+		t.Errorf("strided Lease.For (logical width 8 > lease width %d) allocates %.1f/op", l.Width(), a)
+	}
+	if a := testing.AllocsPerRun(50, func() { l.Reconcile() }); a > 0 {
+		t.Errorf("Lease.Reconcile allocates %.1f/op", a)
+	}
 }
 
 func TestForDynamicConcurrentDispatches(t *testing.T) {

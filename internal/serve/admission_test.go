@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cpd"
 	"repro/internal/parallel"
+	"repro/internal/tensor"
 )
 
 // TestAdmissionCostWeightedBudgets pins the cost-share budget policy: two
@@ -306,6 +309,67 @@ func TestCostModel(t *testing.T) {
 	}
 	if m.MTTKRPMapped(dims, 8, 0) != dense || m.MTTKRPMapped(dims, 8, 1<<62) != dense {
 		t.Fatal("MTTKRPMapped degenerate budgets must collapse to the dense estimate")
+	}
+}
+
+// TestAdmissionSparseCPPricedByNNZ pins CP admission pricing by layout:
+// a sparse decomposition costs sweeps × order nnz-keyed MTTKRPs, not the
+// dense Π dims model of its shape (at density 1e-3 that model overprices
+// it by two orders of magnitude, handing it the full width and aging it
+// as a huge job), while a dense decomposition keeps the CP model exactly.
+func TestAdmissionSparseCPPricedByNNZ(t *testing.T) {
+	s := New(Config{Workers: 2, MaxActive: 1})
+	defer s.Close()
+	var m CostModel
+
+	rng := rand.New(rand.NewSource(1))
+	sp := tensor.RandomSparse(rng, 1e-3, 200, 200, 200)
+	dn := tensor.Random(rng, 12, 10, 8)
+	const rank, sweeps = 8, 10
+	sparseWant := float64(sweeps) * 3 * m.SparseMTTKRP(sp.NNZ(), sp.Dims(), rank)
+	denseWant := m.CP(dn.Dims(), rank, sweeps)
+	if dense := m.CP(sp.Dims(), rank, sweeps); sparseWant*100 > dense {
+		t.Fatalf("nnz model %g not two orders under the dense model %g; the fixture no longer tells them apart", sparseWant, dense)
+	}
+
+	release := make(chan struct{})
+	started := make(chan struct{})
+	blocker := s.submitFunc("", 1, 0, func(parallel.Executor) {
+		close(started)
+		<-release
+	})
+	<-started
+	cfg := cpd.Config{Rank: rank, MaxIters: sweeps, Tol: -1, Seed: 1}
+	tSparse := s.SubmitCP(CPRequest{X: sp, Config: cfg})
+	tDense := s.SubmitCP(CPRequest{X: dn, Config: cfg})
+
+	var costs []float64
+	for _, r := range s.Stats().Requests {
+		if r.Kind == "cp" {
+			costs = append(costs, r.Cost)
+		}
+	}
+	close(release)
+	if err := blocker.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range []*Ticket{tSparse, tDense} {
+		if _, err := tk.CP(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(costs) != 2 {
+		t.Fatalf("saw %d queued CP requests, want 2", len(costs))
+	}
+	if costs[0] > costs[1] {
+		costs[0], costs[1] = costs[1], costs[0]
+	}
+	want := []float64{sparseWant, denseWant}
+	if want[0] > want[1] {
+		want[0], want[1] = want[1], want[0]
+	}
+	if costs[0] != want[0] || costs[1] != want[1] {
+		t.Fatalf("queued CP costs %v, want sparse %g (nnz model) and dense %g (CP model)", costs, sparseWant, denseWant)
 	}
 }
 

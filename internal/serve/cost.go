@@ -2,6 +2,7 @@ package serve
 
 import (
 	"repro/internal/core"
+	"repro/internal/cpd"
 	"repro/internal/tensor"
 )
 
@@ -18,23 +19,11 @@ import (
 // problems are bandwidth-bound, which is why bytes carry an independent
 // weight instead of folding into a pure flop count.
 //
-// The byte term is also where placement plugs in: a worker budget that
-// spans NUMA domains moves part of its working set over the interconnect,
-// so the model prices a domain-spanning grant by scaling bytes with
-// CrossDomainPenalty (see SpillFactor). Flops are placement-blind.
-//
-// The zero value is the default model (FlopWeight 1, ByteWeight 4,
-// CrossDomainPenalty 1.5).
+// The zero value is the default model (FlopWeight 1, ByteWeight 4).
 type CostModel struct {
 	// FlopWeight and ByteWeight convert the flop and byte estimates into
 	// one scalar; zero selects the defaults (1 and 4).
 	FlopWeight, ByteWeight float64
-	// CrossDomainPenalty is the factor the byte term pays when a request's
-	// workers span placement domains — the bandwidth/latency ratio of
-	// remote to local memory access. Zero selects 1.5, a conservative
-	// two-socket figure; 1 disables the penalty. It only matters on
-	// servers built with a multi-domain Config.Topology.
-	CrossDomainPenalty float64
 }
 
 func (m CostModel) weights() (fw, bw float64) {
@@ -46,19 +35,6 @@ func (m CostModel) weights() (fw, bw float64) {
 		bw = 4
 	}
 	return fw, bw
-}
-
-// crossPenalty resolves the cross-domain byte penalty (0 selects 1.5; any
-// value below 1 is clamped to 1 — remote access is never cheaper).
-func (m CostModel) crossPenalty() float64 {
-	p := m.CrossDomainPenalty
-	if p == 0 {
-		p = 1.5
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
 }
 
 // combine folds flop and byte estimates into the admission scalar.
@@ -153,20 +129,6 @@ type costTensor interface {
 	Layout() tensor.Layout
 }
 
-// PartsFor returns the flop and byte estimates of one MTTKRP request,
-// dispatching on the tensor's layout exactly like MTTKRPFor. The split
-// exists for placement: SpillFactor prices the byte part against the
-// cross-domain penalty, which a single pre-combined scalar cannot.
-func (m CostModel) PartsFor(x costTensor, rank int) (flops, bytes float64) {
-	if x.Layout() == tensor.LayoutCOO {
-		return sparseParts(x.NNZ(), x.Dims(), rank)
-	}
-	if d, ok := x.(interface{ Mapped() bool }); ok && d.Mapped() {
-		return mappedParts(x.Dims(), rank, core.DefaultTileBytes)
-	}
-	return mttkrpParts(x.Dims(), rank)
-}
-
 // MTTKRPFor estimates one MTTKRP request's cost by the tensor's layout:
 // the dense shape model for heap-resident dense tensors, the nnz-keyed
 // model for sparse ones, and the resident-byte model for mapped dense
@@ -174,32 +136,28 @@ func (m CostModel) PartsFor(x costTensor, rank int) (flops, bytes float64) {
 // core.DefaultTileBytes). This is the dispatch point SubmitMTTKRP prices
 // through.
 func (m CostModel) MTTKRPFor(x costTensor, rank int) float64 {
-	return m.combine(m.PartsFor(x, rank))
-}
-
-// SpillFactor is the multiplier a domain-spanning grant pays over a packed
-// one for a request with the given flop/byte estimates: the cost with the
-// byte term scaled by CrossDomainPenalty, relative to the unscaled cost.
-// It is always ≥ 1, approaching 1 for flop-bound requests and the full
-// penalty for bandwidth-bound ones. The scheduler lets a budget spill past
-// one domain only when the extra width beats this factor — spilling must
-// pay for the remote traffic it creates.
-func (m CostModel) SpillFactor(flops, bytes float64) float64 {
-	base := m.combine(flops, bytes)
-	if base <= 0 {
-		return 1
+	if x.Layout() == tensor.LayoutCOO {
+		return m.SparseMTTKRP(x.NNZ(), x.Dims(), rank)
 	}
-	fw, bw := m.weights()
-	return (fw*flops + bw*bytes*m.crossPenalty()) / base
+	if d, ok := x.(interface{ Mapped() bool }); ok && d.Mapped() {
+		return m.MTTKRPMapped(x.Dims(), rank, core.DefaultTileBytes)
+	}
+	return m.MTTKRP(x.Dims(), rank)
 }
 
-// CP estimates a CP-ALS run: sweeps sweeps of one MTTKRP per mode.
-// sweeps <= 0 selects the cpd default sweep budget (50).
+// CP estimates a dense CP-ALS run over a dims-shaped tensor: sweeps
+// sweeps of one MTTKRP per mode. sweeps <= 0 selects the cpd default
+// sweep budget.
 func (m CostModel) CP(dims []int, rank, sweeps int) float64 {
+	return cpCost(m.MTTKRP(dims, rank), len(dims), sweeps)
+}
+
+// cpCost scales one MTTKRP's cost to sweeps sweeps over order modes.
+func cpCost(mttkrp float64, order, sweeps int) float64 {
 	if sweeps <= 0 {
-		sweeps = 50 // cpd.Config.withDefaults MaxIters
+		sweeps = cpd.DefaultMaxIters
 	}
-	return float64(sweeps) * float64(len(dims)) * m.MTTKRP(dims, rank)
+	return float64(sweeps) * float64(order) * mttkrp
 }
 
 // costOf resolves a request's admission cost: an explicit positive hint

@@ -71,13 +71,6 @@ const (
 	LayoutCOO   = tensor.LayoutCOO
 )
 
-// Tensor is the historical name of the dense tensor type.
-//
-// Deprecated: use Dense. Tensor predates sparse support, when the dense
-// layout was the only one; it remains as an alias so existing callers
-// compile unchanged.
-type Tensor = tensor.Dense
-
 // Matrix is a strided dense matrix view; factor matrices are row-major
 // Matrix values.
 type Matrix = mat.View
@@ -163,22 +156,6 @@ type Pool = parallel.Pool
 // NewPool creates a pool with the given number of persistent workers
 // (0 = GOMAXPROCS). Close it when no longer needed.
 func NewPool(workers int) *Pool { return parallel.NewPool(workers) }
-
-// Topology describes the host's placement domains (NUMA nodes and their
-// CPUs). Hand one to ServerConfig.Topology to make the server's pool,
-// lease placement, first-touch buffers and budget split domain-aware;
-// results stay bit-identical with placement on or off.
-type Topology = parallel.Topology
-
-// DetectTopology discovers the host topology: the MTTKRP_TOPOLOGY
-// environment override if set, else Linux sysfs, else a single domain
-// spanning all CPUs (on which placement is a no-op). It never fails.
-func DetectTopology() *Topology { return parallel.DetectTopology() }
-
-// ParseTopology builds a Topology from a spec string of per-domain CPU
-// lists in kernel cpulist syntax, domains separated by ';' — for example
-// "0-3;4-7" for two 4-CPU domains.
-func ParseTopology(spec string) (*Topology, error) { return parallel.ParseTopology(spec) }
 
 // Server is the concurrent serving runtime: an admission-controlled
 // scheduler that shares one worker pool across concurrent MTTKRP and CP
@@ -329,19 +306,19 @@ func CP(x AnyTensor, cfg CPConfig) (*CPResult, error) {
 
 // TTM computes the tensor-times-matrix product Y = X ×n M (Y_(n) = Mᵀ·X_(n))
 // without reordering tensor entries, using t workers.
-func TTM(t int, x *Tensor, n int, m Matrix) *Tensor {
+func TTM(t int, x *Dense, n int, m Matrix) *Dense {
 	return ttm.Multiply(t, x, n, m)
 }
 
 // Corcondia computes the core consistency diagnostic of a fitted CP model
 // (100 = perfect CP structure; collapses when over-factored).
-func Corcondia(t int, x *Tensor, k *KTensor) float64 {
+func Corcondia(t int, x *Dense, k *KTensor) float64 {
 	return cpd.Corcondia(t, x, k)
 }
 
 // NVecsInit builds a deterministic CP starting point from the leading
 // eigenvectors of each mode's Gram matrix (Tensor Toolbox 'nvecs').
-func NVecsInit(t int, x *Tensor, rank int, seed int64) *KTensor {
+func NVecsInit(t int, x *Dense, rank int, seed int64) *KTensor {
 	return cpd.NVecsInit(t, x, rank, seed)
 }
 
@@ -418,7 +395,7 @@ func LoadSparseTensor(path string) (*Sparse, error) { return tensor.LoadSparse(p
 // NonnegativeCP computes a nonnegative CP decomposition by HALS (the
 // nonnegative setting of the paper's related work), using the same MTTKRP
 // kernels as CP.
-func NonnegativeCP(x *Tensor, cfg CPConfig) (*CPResult, error) {
+func NonnegativeCP(x *Dense, cfg CPConfig) (*CPResult, error) {
 	return cpd.NNALS(x, cfg)
 }
 
@@ -434,6 +411,6 @@ type TuckerResult = tucker.Result
 
 // Tucker computes a Tucker decomposition by HOSVD + HOOI on the same
 // no-reorder TTM substrate the MTTKRP kernels use.
-func Tucker(x *Tensor, cfg TuckerConfig) (*TuckerResult, error) {
+func Tucker(x *Dense, cfg TuckerConfig) (*TuckerResult, error) {
 	return tucker.Decompose(x, cfg)
 }
