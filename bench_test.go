@@ -415,13 +415,13 @@ func BenchmarkAblationGemmBlocking(b *testing.B) {
 	cc := mat.NewDense(768, 768)
 	for _, bl := range []blas.Blocking{
 		{}, // defaults
-		{MC: 32, KC: 64, NC: 512},
-		{MC: 256, KC: 512, NC: 4096},
-		{MC: 64, KC: 128, NC: 1024},
+		{KC: 64, NC: 512},
+		{KC: 512, NC: 4096},
+		{KC: 128, NC: 1024},
 	} {
 		name := "default"
-		if bl.MC != 0 {
-			name = fmt.Sprintf("MC=%d,KC=%d,NC=%d", bl.MC, bl.KC, bl.NC)
+		if bl.KC != 0 {
+			name = fmt.Sprintf("KC=%d,NC=%d", bl.KC, bl.NC)
 		}
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(2 * 768 * 768 * 768)

@@ -83,15 +83,23 @@ func kernelCases(rng *rand.Rand) []kernelCase {
 			}},
 		)
 	}
-	for _, kc := range []int{64, 256} {
-		kc := kc
-		ap, bp := mk(4*kc), mk(4*kc)
+	// The GEMM micro-kernel on a packed A panel (rs=1, cs=4) and in place
+	// at the strides blas hands it for the fMRI tensor: mode 0 reads the
+	// column-major X_(0) (lda 68), mode 3 a row-major block whose rows are
+	// 64800 elements apart. Same flops, so the columns compare directly.
+	for _, g := range []struct{ kc, rs, cs int }{{64, 1, 4}, {256, 1, 4}, {256, 1, 68}, {256, 64800, 1}} {
+		g := g
+		a, bp := mk((g.kc-1)*g.cs+3*g.rs+1), mk(4*g.kc)
 		acc := new([16]float64)
-		cases = append(cases, kernelCase{"gemm4x4", fmt.Sprintf("kc=%d", kc), func(impl *simd.Impl, iters int) float64 {
+		size := fmt.Sprintf("kc=%d", g.kc)
+		if g.rs != 1 || g.cs != 4 {
+			size += fmt.Sprintf(" rs=%d cs=%d", g.rs, g.cs)
+		}
+		cases = append(cases, kernelCase{"gemm4x4", size, func(impl *simd.Impl, iters int) float64 {
 			for i := 0; i < iters; i++ {
-				impl.Gemm4x4(kc, ap, bp, acc)
+				impl.Gemm4x4Strided(g.kc, a, g.rs, g.cs, bp, acc)
 			}
-			return float64(2 * 16 * kc * iters)
+			return float64(2 * 16 * g.kc * iters)
 		}})
 	}
 	for _, shape := range []struct{ rows, c int }{{40, 16}, {256, 16}} {

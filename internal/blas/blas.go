@@ -1,9 +1,13 @@
 // Package blas implements the dense linear-algebra kernels that the paper
-// obtains from Intel MKL: a cache-blocked, packed, goroutine-parallel GEMM,
-// a strided GEMV, and the level-1 routines the higher layers need. All
+// obtains from Intel MKL: a cache-blocked, goroutine-parallel GEMM, a
+// strided GEMV, and the level-1 routines the higher layers need. All
 // routines operate on mat.View strided windows, so the tensor
 // matricizations of the paper (column-major X_(0:n), row-major X_(n)
 // blocks) are multiplied in place without reordering tensor entries.
+// The blocked GEMM does not copy A either: its micro-kernel reads every
+// full 4-row panel of A through the view's strides, and only the final
+// m%4 rows are packed into a zero-padded panel. B, the small KRP operand
+// in MTTKRP, is packed.
 //
 // Parallel GEMM splits the M (and, for wide outputs, N) dimension across
 // workers and never splits the K dimension. This deliberately reproduces
@@ -19,11 +23,11 @@ import (
 	"repro/internal/mat"
 )
 
-// Blocking parameters for the packed GEMM. MC×KC float64 ≈ 256 KiB fits
-// comfortably in a typical L2 cache; the KC×NR B micro-panels stream
-// through L1.
+// Blocking parameters for the GEMM. A KC×NC block of B is packed into
+// KC×NR micro-panels that stream through L1; A is read in place, so the
+// only A scratch is one MR×KC tail panel (8 KiB per worker at the default
+// KC, where packing whole MC×KC blocks of A used 256 KiB).
 const (
-	mcDefault = 128
 	kcDefault = 256
 	ncDefault = 2048
 
@@ -33,23 +37,21 @@ const (
 
 // Blocking carries GEMM cache-blocking parameters. The zero value selects
 // the package defaults; it exists so ablation benchmarks can sweep the
-// design space.
+// design space. KC also fixes the accumulation grouping of every output
+// element (one partial sum per KC block, added to C in block order), so
+// changing it changes result bits.
 type Blocking struct {
-	MC, KC, NC int
+	KC, NC int
 }
 
 func (b Blocking) orDefault() Blocking {
-	if b.MC <= 0 {
-		b.MC = mcDefault
-	}
 	if b.KC <= 0 {
 		b.KC = kcDefault
 	}
 	if b.NC <= 0 {
 		b.NC = ncDefault
 	}
-	// Round MC/NC to multiples of the micro-kernel so packing stays simple.
-	b.MC = roundUp(b.MC, mr)
+	// Round NC to a multiple of the micro-kernel so packing stays simple.
 	b.NC = roundUp(b.NC, nr)
 	return b
 }

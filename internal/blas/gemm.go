@@ -10,7 +10,7 @@ import (
 // compile time if the blocking constants ever change without it.
 var _ [16]struct{} = [mr * nr]struct{}{}
 
-// smallGemmFlops is the threshold below which the packed path is not worth
+// smallGemmFlops is the threshold below which the blocked path is not worth
 // its setup cost and a direct loop is used instead. The 1-step algorithm's
 // internal modes issue many GEMMs of exactly this size class (I_n × I^L_n
 // blocks times I^L_n × C), so the small path matters.
@@ -130,7 +130,7 @@ func gemmBlockedOnClass(p parallel.Executor, t, classM int, alpha float64, a, b 
 	default:
 		// Worker split: divide the M dimension into contiguous stripes, one
 		// per worker. Each worker runs the full blocked loop nest on its
-		// stripe, packing its own A panels. B panels are packed redundantly
+		// stripe, reading its A rows in place. B panels are packed redundantly
 		// per worker; for the tall-and-skinny shapes MTTKRP produces (huge
 		// M, small N) the duplicated packing cost is negligible and avoiding
 		// cross-worker synchronization keeps the scaling clean. The K
@@ -251,13 +251,17 @@ func gemmNaiveAcc(alpha float64, a, b, c mat.View) {
 	}
 }
 
-// gemmStripe runs the five-loop blocked GEMM (BLIS structure) on one
-// contiguous stripe of rows, sequentially: C += alpha*A*B. Packing
-// buffers are sized to the actual block extents and leased from the
-// worker's arena, so same-shaped stripes reuse one pair of panels.
+// gemmStripe runs the blocked GEMM (BLIS structure) on one contiguous
+// stripe of rows, sequentially: C += alpha*A*B. B is packed into kc×nr
+// micro-panels; A is read in place, its strides handed to the
+// micro-kernel, so a tensor matricization is multiplied where it lies.
+// Only the final m%mr rows, too few for the 4-row kernel, are copied into
+// a zero-padded panel. The ir loop is outside the jr loop so one A
+// micro-panel stays in L1 across all ⌈nc/nr⌉ B panels. Pack buffers are
+// leased from the worker's arena, so same-shaped stripes reuse them.
 func gemmStripe(alpha float64, a, b, c mat.View, bl Blocking, ar *parallel.Arena) {
 	m, n, k := a.R, b.C, a.C
-	ap := ar.Float64("blas.packA", min(bl.MC, roundUp(m, mr))*min(bl.KC, k))
+	ap := ar.Float64("blas.packA", mr*min(bl.KC, k))
 	bp := ar.Float64("blas.packB", min(bl.KC, k)*min(bl.NC, roundUp(n, nr)))
 	// The micro-kernel accumulator lives in the arena rather than on the
 	// stack: escape analysis cannot see through the simd dispatch pointer,
@@ -268,54 +272,33 @@ func gemmStripe(alpha float64, a, b, c mat.View, bl Blocking, ar *parallel.Arena
 		for pc := 0; pc < k; pc += bl.KC {
 			kc := min(bl.KC, k-pc)
 			packB(b.Slice(pc, pc+kc, jc, jc+nc), bp)
-			for ic := 0; ic < m; ic += bl.MC {
-				mc := min(bl.MC, m-ic)
-				packA(a.Slice(ic, ic+mc, pc, pc+kc), ap)
-				cBlk := c.Slice(ic, ic+mc, jc, jc+nc)
+			for ir := 0; ir < m; ir += mr {
+				mrr := min(mr, m-ir)
+				panel, rs, cs := a.Data[ir*a.RS+pc*a.CS:], a.RS, a.CS
+				if mrr < mr {
+					packA(a.Slice(ir, m, pc, pc+kc), ap)
+					panel, rs, cs = ap, 1, mr
+				}
 				for jr := 0; jr < nc; jr += nr {
-					nrr := min(nr, nc-jr)
-					for ir := 0; ir < mc; ir += mr {
-						mrr := min(mr, mc-ir)
-						microKernel(kc, ap[(ir/mr)*mr*kc:], bp[(jr/nr)*nr*kc:], acc)
-						writeBack(alpha, acc, cBlk, ir, jr, mrr, nrr)
-					}
+					simd.Gemm4x4Strided(kc, panel, rs, cs, bp[(jr/nr)*nr*kc:], acc)
+					writeBack(alpha, acc, c, ir, jc+jr, mrr, min(nr, nc-jr))
 				}
 			}
 		}
 	}
 }
 
-// packA copies an mc×kc block of A into micro-panels of mr rows stored
-// column-by-column: panel p, column q, row r lives at
-// ap[p*mr*kc + q*mr + r]. Rows beyond mc are zero-padded so the
-// micro-kernel never branches.
+// packA copies the final rows of A (fewer than mr) into one micro-panel
+// stored column by column, ap[q*mr + r] = A(r, q), zero-padding the
+// missing rows so the micro-kernel never branches.
 func packA(a mat.View, ap []float64) {
-	mc, kc := a.R, a.C
-	idx := 0
-	for p := 0; p < mc; p += mr {
-		rows := min(mr, mc-p)
-		if a.CS == 1 {
-			// Row-major source: gather rows, then interleave.
-			base := p * a.RS
-			for q := 0; q < kc; q++ {
-				for r := 0; r < rows; r++ {
-					ap[idx+r] = a.Data[base+r*a.RS+q]
-				}
-				for r := rows; r < mr; r++ {
-					ap[idx+r] = 0
-				}
-				idx += mr
+	for q := 0; q < a.C; q++ {
+		for r := 0; r < mr; r++ {
+			v := 0.0
+			if r < a.R {
+				v = a.At(r, q)
 			}
-			continue
-		}
-		for q := 0; q < kc; q++ {
-			for r := 0; r < rows; r++ {
-				ap[idx+r] = a.At(p+r, q)
-			}
-			for r := rows; r < mr; r++ {
-				ap[idx+r] = 0
-			}
-			idx += mr
+			ap[q*mr+r] = v
 		}
 	}
 }
@@ -351,14 +334,6 @@ func packB(b mat.View, bp []float64) {
 			idx += nr
 		}
 	}
-}
-
-// microKernel computes a dense mr×nr = (mr×kc)·(kc×nr) product from packed
-// panels into acc. It is the innermost loop of the whole library and
-// dispatches to internal/simd: four vector accumulators on AVX2 hosts, the
-// bit-identical 16-register scalar reference elsewhere.
-func microKernel(kc int, ap, bp []float64, acc *[mr * nr]float64) {
-	simd.Gemm4x4(kc, ap, bp, acc)
 }
 
 func writeBack(alpha float64, acc *[mr * nr]float64, c mat.View, ir, jr, mrr, nrr int) {

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -166,13 +167,85 @@ func TestGemmTransposedViewsComputeAtB(t *testing.T) {
 	}
 }
 
+// gemmKCRef computes C = alpha*A*B + beta*C in the blocked driver's
+// accumulation order, one plain loop per output element: C is scaled by
+// beta first (beta == 0 clears), then for each KC block of the inner
+// dimension a fresh sum of a·b in k order is scaled by alpha and added.
+func gemmKCRef(alpha float64, a, b mat.View, beta float64, c mat.View, kcBlock int) {
+	for i := 0; i < c.R; i++ {
+		for j := 0; j < c.C; j++ {
+			switch beta {
+			case 0:
+				c.Set(i, j, 0)
+			case 1:
+			default:
+				c.Set(i, j, c.At(i, j)*beta)
+			}
+			for pc := 0; pc < a.C; pc += kcBlock {
+				s := 0.0
+				for p := pc; p < min(pc+kcBlock, a.C); p++ {
+					s += a.At(i, p) * b.At(p, j)
+				}
+				c.Add(i, j, alpha*s)
+			}
+		}
+	}
+}
+
+// TestGemmBlockedBitsMatchKCRef pins the blocked path bit for bit: A read
+// in place through every stride pattern, the packed tail for every
+// M mod 4, edge B panels, K over three KC blocks, each beta class and one
+// or two workers. classM forces the blocked path at these small sizes.
+func TestGemmBlockedBitsMatchKCRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const k = 2*kcDefault + 89
+	layouts := []struct {
+		name string
+		mk   func(m int) mat.View
+	}{
+		{"rowmajor", func(m int) mat.View { return mat.NewDense(m, k) }},
+		{"colmajor", func(m int) mat.View { return mat.NewColMajor(m, k) }},
+		{"transposed", func(m int) mat.View { return mat.NewDense(k, m).T() }},
+		{"strided", func(m int) mat.View {
+			// Every other element of rows padded by 5: neither stride is 1.
+			rs := 2*k + 5
+			return mat.View{Data: make([]float64, m*rs), R: m, C: k, RS: rs, CS: 2}
+		}},
+	}
+	for _, l := range layouts {
+		for _, m := range []int{36, 37, 38, 39} {
+			a := l.mk(m)
+			a.Randomize(rng)
+			for _, n := range []int{1, 10, 16, 25} {
+				b := randomView(rng, k, n, 0)
+				c0 := randomView(rng, m, n, 0)
+				for _, beta := range []float64{0, 0.5, 1} {
+					want := c0.Clone()
+					gemmKCRef(1.25, a, b, beta, want, kcDefault)
+					for _, threads := range []int{1, 2} {
+						got := c0.Clone()
+						GemmOnClass(nil, threads, 1<<20, 1.25, a, b, beta, got)
+						for i := range got.Data {
+							if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+								t.Fatalf("%s m=%d n=%d beta=%g t=%d: C[%d] = %x, want %x",
+									l.name, m, n, beta, threads, i,
+									math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestGemmBlockedCustomBlocking(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randomView(rng, 50, 70, 0)
 	b := randomView(rng, 70, 30, 1)
 	want := mat.NewDense(50, 30)
 	gemmRef(1, a, b, 0, want)
-	for _, bl := range []Blocking{{MC: 8, KC: 16, NC: 8}, {MC: 4, KC: 1, NC: 4}, {MC: 1000, KC: 1000, NC: 1000}} {
+	for _, bl := range []Blocking{{KC: 16, NC: 8}, {KC: 1, NC: 4}, {KC: 1000, NC: 1000}} {
 		c := mat.NewDense(50, 30)
 		GemmBlocked(2, 1, a, b, 0, c, bl)
 		if !mat.ApproxEqual(c, want, 1e-12) {

@@ -85,7 +85,7 @@ func BenchmarkKernels(b *testing.B) {
 			var acc [16]float64
 			b.Run(fmt.Sprintf("gemm4x4/impl=%s/kc=%d", impl.Name, kc), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					impl.Gemm4x4(kc, ap, bp, &acc)
+					impl.Gemm4x4Strided(kc, ap, 1, 4, bp, &acc)
 				}
 				gflops(b, 2*16*kc)
 			})

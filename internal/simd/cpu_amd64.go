@@ -42,16 +42,16 @@ func detectAVX2() *Impl {
 		return nil
 	}
 	return &Impl{
-		Name:      "avx2",
-		Dot:       dotAVX2,
-		Axpy:      axpyAVX2,
-		Scale:     scaleAVX2,
-		Had:       hadAVX2,
-		HadAcc:    hadAccAVX2,
-		Add:       addAVX2,
-		SumAbs:    sumAbsAVX2,
-		Gemm4x4:   gemm4x4AVX2,
-		HadExpand: hadExpandAVX2,
+		Name:           "avx2",
+		Dot:            dotAVX2,
+		Axpy:           axpyAVX2,
+		Scale:          scaleAVX2,
+		Had:            hadAVX2,
+		HadAcc:         hadAccAVX2,
+		Add:            addAVX2,
+		SumAbs:         sumAbsAVX2,
+		Gemm4x4Strided: gemm4x4AVX2,
+		HadExpand:      hadExpandAVX2,
 	}
 }
 
@@ -81,7 +81,7 @@ func addAVX2(x, y []float64)
 func sumAbsAVX2(x []float64) float64
 
 //go:noescape
-func gemm4x4AVX2(kc int, ap, bp []float64, acc *[16]float64)
+func gemm4x4AVX2(kc int, a []float64, rs, cs int, bp []float64, acc *[16]float64)
 
 //go:noescape
 func hadExpandAVX2(row, kl, out []float64)

@@ -309,17 +309,24 @@ sumdone:
 	VZEROUPPER
 	RET
 
-// func gemm4x4AVX2(kc int, ap, bp []float64, acc *[16]float64)
+// func gemm4x4AVX2(kc int, a []float64, rs, cs int, bp []float64, acc *[16]float64)
 //
-// The 4×4 GEMM micro-kernel on packed panels: accumulator row r lives in
-// Y(r), lane j holding c_rj. Per k step each row does one broadcast, one
+// The 4×4 GEMM micro-kernel, A read in place through its strides:
+// A(r, p) = a[r*rs + p*cs]. Accumulator row r lives in Y(r), lane j
+// holding c_rj. Per k step each row does one broadcast from (SI)+r·rs, one
 // multiply, one add — per lane exactly the scalar kernel's
-// c_rj += a_r * b_j in the same k order.
-TEXT ·gemm4x4AVX2(SB), NOSPLIT, $0-64
+// c_rj += a_r * b_j in the same k order — and SI advances by cs. The
+// packed panel layout is the case rs = 1, cs = 4.
+TEXT ·gemm4x4AVX2(SB), NOSPLIT, $0-80
 	MOVQ kc+0(FP), CX
-	MOVQ ap_base+8(FP), SI
-	MOVQ bp_base+32(FP), DI
-	MOVQ acc+56(FP), DX
+	MOVQ a_base+8(FP), SI
+	MOVQ rs+32(FP), R8
+	MOVQ cs+40(FP), R9
+	MOVQ bp_base+48(FP), DI
+	MOVQ acc+72(FP), DX
+	SHLQ $3, R8          // rs in bytes
+	SHLQ $3, R9          // cs in bytes
+	LEAQ (R8)(R8*2), R10 // 3·rs in bytes
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -329,11 +336,11 @@ TEXT ·gemm4x4AVX2(SB), NOSPLIT, $0-64
 gemmloop:
 	CMPQ AX, CX
 	JGE  gemmdone
-	VMOVUPD      (DI), Y4    // {b0, b1, b2, b3}
+	VMOVUPD      (DI), Y4       // {b0, b1, b2, b3}
 	VBROADCASTSD (SI), Y5
-	VBROADCASTSD 8(SI), Y6
-	VBROADCASTSD 16(SI), Y7
-	VBROADCASTSD 24(SI), Y8
+	VBROADCASTSD (SI)(R8*1), Y6
+	VBROADCASTSD (SI)(R8*2), Y7
+	VBROADCASTSD (SI)(R10*1), Y8
 	VMULPD       Y4, Y5, Y5
 	VADDPD       Y5, Y0, Y0
 	VMULPD       Y4, Y6, Y6
@@ -342,7 +349,7 @@ gemmloop:
 	VADDPD       Y7, Y2, Y2
 	VMULPD       Y4, Y8, Y8
 	VADDPD       Y8, Y3, Y3
-	ADDQ         $32, SI
+	ADDQ         R9, SI
 	ADDQ         $32, DI
 	INCQ         AX
 	JMP          gemmloop

@@ -117,24 +117,25 @@ func sumAbsScalar(x []float64) float64 {
 	return s
 }
 
-// gemm4x4Scalar is the reference 4×4 micro-kernel: sixteen accumulators,
-// one mul-then-add per (row, column) pair per k step, in k order. The AVX2
-// kernel holds each row's four accumulators in one register; per lane the
-// operation sequence is identical.
+// gemm4x4Scalar is the reference 4×4 micro-kernel, acc = A·Bᵖ with
+// A(r, p) = a[r*rs + p*cs] read through its strides and bp packed as
+// bp[p*4+c] = B(p, c): sixteen accumulators, one mul-then-add per
+// (row, column) pair per k step, in k order. The AVX2 kernel holds each
+// row's four accumulators in one register; per lane the operation sequence
+// is identical.
 //
 //mttkrp:noalloc
-func gemm4x4Scalar(kc int, ap, bp []float64, acc *[16]float64) {
+func gemm4x4Scalar(kc int, a []float64, rs, cs int, bp []float64, acc *[16]float64) {
 	var c00, c01, c02, c03 float64
 	var c10, c11, c12, c13 float64
 	var c20, c21, c22, c23 float64
 	var c30, c31, c32, c33 float64
-	ap = ap[: kc*4 : kc*4]
 	bp = bp[: kc*4 : kc*4]
-	for p := 0; p < kc; p++ {
-		a0 := ap[p*4]
-		a1 := ap[p*4+1]
-		a2 := ap[p*4+2]
-		a3 := ap[p*4+3]
+	for p, o := 0, 0; p < kc; p, o = p+1, o+cs {
+		a0 := a[o]
+		a1 := a[o+rs]
+		a2 := a[o+2*rs]
+		a3 := a[o+3*rs]
 		b0 := bp[p*4]
 		b1 := bp[p*4+1]
 		b2 := bp[p*4+2]

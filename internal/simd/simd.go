@@ -80,11 +80,13 @@ type Impl struct {
 	// left-to-right, then accumulates the tail.
 	SumAbs func(x []float64) float64
 
-	// Gemm4x4 is the GEMM micro-kernel: acc = (4×kc packed panel ap) ·
-	// (kc×4 packed panel bp), accumulators zeroed on entry and written
-	// back row-major. Panels are packed as in blas: ap[p*4+r] is
-	// A(r, p), bp[p*4+c] is B(p, c).
-	Gemm4x4 func(kc int, ap, bp []float64, acc *[16]float64)
+	// Gemm4x4Strided is the GEMM micro-kernel: acc = (4×kc A) · (kc×4
+	// packed panel bp), accumulators zeroed on entry and written back
+	// row-major. A is read in place through its strides, A(r, p) =
+	// a[r*rs + p*cs]; bp[p*4+c] is B(p, c). A panel packed as in blas
+	// (ap[p*4+r] = A(r, p)) is the case rs = 1, cs = 4. The raw kernel
+	// does not bounds-check a or bp; the exported wrapper does.
+	Gemm4x4Strided func(kc int, a []float64, rs, cs int, bp []float64, acc *[16]float64)
 
 	// HadExpand computes out(l, :) = row ∗ kl(l, :) over flat row-major
 	// kl and out of len(kl) = rows·len(row) — the 1-step internal-mode
@@ -104,21 +106,21 @@ var (
 	hadAcc    func(x, y, z []float64)
 	add       func(x, y []float64)
 	sumAbs    func(x []float64) float64
-	gemm4x4   func(kc int, ap, bp []float64, acc *[16]float64)
+	gemm4x4   func(kc int, a []float64, rs, cs int, bp []float64, acc *[16]float64)
 	hadExpand func(row, kl, out []float64)
 )
 
 var scalarImpl = Impl{
-	Name:      "scalar",
-	Dot:       dotScalar,
-	Axpy:      axpyScalar,
-	Scale:     scaleScalar,
-	Had:       hadScalar,
-	HadAcc:    hadAccScalar,
-	Add:       addScalar,
-	SumAbs:    sumAbsScalar,
-	Gemm4x4:   gemm4x4Scalar,
-	HadExpand: hadExpandScalar,
+	Name:           "scalar",
+	Dot:            dotScalar,
+	Axpy:           axpyScalar,
+	Scale:          scaleScalar,
+	Had:            hadScalar,
+	HadAcc:         hadAccScalar,
+	Add:            addScalar,
+	SumAbs:         sumAbsScalar,
+	Gemm4x4Strided: gemm4x4Scalar,
+	HadExpand:      hadExpandScalar,
 }
 
 // Scalar returns the portable reference implementation.
@@ -156,7 +158,7 @@ func Use(impl *Impl) {
 	hadAcc = impl.HadAcc
 	add = impl.Add
 	sumAbs = impl.SumAbs
-	gemm4x4 = impl.Gemm4x4
+	gemm4x4 = impl.Gemm4x4Strided
 	hadExpand = impl.HadExpand
 }
 
@@ -203,11 +205,25 @@ func Add(x, y []float64) { add(x, y) }
 //mttkrp:noalloc
 func SumAbs(x []float64) float64 { return sumAbs(x) }
 
-// Gemm4x4 runs the 4×4 micro-kernel via the active kernel. ap and bp must
-// hold at least 4·kc packed elements each.
+// Gemm4x4 runs the 4×4 micro-kernel on a packed A panel (ap[p*4+r] =
+// A(r, p)) via the active kernel. ap and bp must hold at least 4·kc
+// elements each.
 //
 //mttkrp:noalloc
-func Gemm4x4(kc int, ap, bp []float64, acc *[16]float64) { gemm4x4(kc, ap, bp, acc) }
+func Gemm4x4(kc int, ap, bp []float64, acc *[16]float64) { Gemm4x4Strided(kc, ap, 1, 4, bp, acc) }
+
+// Gemm4x4Strided runs the 4×4 micro-kernel with A read in place, A(r, p) =
+// a[r*rs + p*cs], via the active kernel. Strides must be non-negative, a
+// must reach a[(kc-1)*cs + 3*rs] and bp must hold 4·kc elements; it panics
+// otherwise, before any kernel reads memory.
+//
+//mttkrp:noalloc
+func Gemm4x4Strided(kc int, a []float64, rs, cs int, bp []float64, acc *[16]float64) {
+	if kc > 0 && (rs < 0 || cs < 0 || (kc-1)*cs+3*rs >= len(a) || 4*kc > len(bp)) {
+		panic("simd: Gemm4x4Strided operands do not cover the 4×kc tile")
+	}
+	gemm4x4(kc, a, rs, cs, bp, acc)
+}
 
 // HadExpand computes out(l, :) = row ∗ kl(l, :) over flat row-major
 // buffers via the active kernel. len(kl) and len(out) must equal

@@ -150,25 +150,137 @@ func TestKernelsAliasing(t *testing.T) {
 	}
 }
 
-// TestGemm4x4BitIdentical sweeps the micro-kernel across k depths
-// (including 0 and the non-multiple-of-anything cases).
+// tileLayout is one way the micro-kernel can read A: A(r, p) =
+// a[r*rs + p*cs].
+type tileLayout struct {
+	name   string
+	rs, cs int
+}
+
+// gemmLayouts are the A layouts the micro-kernel reads for a given depth:
+// the packed panel, a row-major window (the row stride lda > kc) and a
+// column-major window (column stride lda > 4), with odd lda so no row or
+// column starts on the alignment of the one before it.
+func gemmLayouts(kc int) []tileLayout {
+	return []tileLayout{
+		{"packed", 1, 4},
+		{"rowmajor", (kc | 1) + 2, 1},
+		{"colmajor", 1, 7},
+	}
+}
+
+// tileLen is the length of the shortest slice covering every element the
+// micro-kernel reads: one past a[(kc-1)*cs + 3*rs].
+func tileLen(kc, rs, cs int) int {
+	if kc == 0 {
+		return 0
+	}
+	return (kc-1)*cs + 3*rs + 1
+}
+
+// TestGemm4x4BitIdentical sweeps the strided micro-kernel across k depths
+// (including 0 and the non-multiple-of-anything cases) and A layouts. The
+// A slice ends exactly at the last element read, so a kernel that reads
+// one element too far would fault or differ.
 func TestGemm4x4BitIdentical(t *testing.T) {
 	v := vectorOrSkip(t)
 	s := Scalar()
 	rng := rand.New(rand.NewSource(13))
 	for kc := 0; kc <= 80; kc++ {
-		ap := make([]float64, 4*kc)
 		bp := make([]float64, 4*kc)
+		fill(rng, bp)
+		for _, l := range gemmLayouts(kc) {
+			a := make([]float64, tileLen(kc, l.rs, l.cs))
+			fill(rng, a)
+			var as, av [16]float64
+			s.Gemm4x4Strided(kc, a, l.rs, l.cs, bp, &as)
+			v.Gemm4x4Strided(kc, a, l.rs, l.cs, bp, &av)
+			for i := range as {
+				if !bitsEq(as[i], av[i]) {
+					t.Fatalf("Gemm4x4Strided %s kc=%d: acc[%d] scalar %x vector %x",
+						l.name, kc, i, math.Float64bits(as[i]), math.Float64bits(av[i]))
+				}
+			}
+			// The strided read is the packed read of the same values: pack
+			// A and the packed entry point must give the same bits.
+			ap := make([]float64, 4*kc)
+			for p := 0; p < kc; p++ {
+				for r := 0; r < 4; r++ {
+					ap[p*4+r] = a[r*l.rs+p*l.cs]
+				}
+			}
+			var pk [16]float64
+			s.Gemm4x4Strided(kc, ap, 1, 4, bp, &pk)
+			if pk != as {
+				t.Fatalf("Gemm4x4Strided %s kc=%d: in-place result differs from packed", l.name, kc)
+			}
+		}
+	}
+}
+
+// TestGemm4x4Bounds pins the exported wrapper's bounds check on both
+// dispatches: a slice ending exactly at the last element read works, one
+// element shorter (in a or bp) or a negative stride panics before any
+// kernel runs.
+func TestGemm4x4Bounds(t *testing.T) {
+	prev := Active()
+	defer Use(prev)
+	impls := []*Impl{Scalar()}
+	if v := Vector(); v != nil {
+		impls = append(impls, v)
+	}
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	rng := rand.New(rand.NewSource(23))
+	for _, impl := range impls {
+		Use(impl)
+		for _, kc := range []int{1, 2, 5, 33} {
+			bp := make([]float64, 4*kc)
+			fill(rng, bp)
+			for _, l := range gemmLayouts(kc) {
+				a := make([]float64, tileLen(kc, l.rs, l.cs))
+				fill(rng, a)
+				var acc, ref [16]float64
+				Scalar().Gemm4x4Strided(kc, a, l.rs, l.cs, bp, &ref)
+				if panics(func() { Gemm4x4Strided(kc, a, l.rs, l.cs, bp, &acc) }) {
+					t.Fatalf("%s %s kc=%d: exact-length operands panicked", impl.Name, l.name, kc)
+				}
+				if acc != ref {
+					t.Fatalf("%s %s kc=%d: exact-length result differs from the reference", impl.Name, l.name, kc)
+				}
+				if !panics(func() { Gemm4x4Strided(kc, a[:len(a)-1], l.rs, l.cs, bp, &acc) }) {
+					t.Fatalf("%s %s kc=%d: a one element short did not panic", impl.Name, l.name, kc)
+				}
+				if !panics(func() { Gemm4x4Strided(kc, a, l.rs, l.cs, bp[:len(bp)-1], &acc) }) {
+					t.Fatalf("%s %s kc=%d: bp one element short did not panic", impl.Name, l.name, kc)
+				}
+			}
+			big := make([]float64, 64*kc+64)
+			var acc [16]float64
+			if !panics(func() { Gemm4x4Strided(kc, big[32:], -1, 4, bp, &acc) }) {
+				t.Fatalf("%s kc=%d: negative row stride did not panic", impl.Name, kc)
+			}
+		}
+		var acc [16]float64
+		for i := range acc {
+			acc[i] = 1
+		}
+		Gemm4x4Strided(0, nil, 1, 4, nil, &acc)
+		if acc != ([16]float64{}) {
+			t.Fatalf("%s kc=0: accumulators not zeroed", impl.Name)
+		}
+		// The packed entry point is the (1, 4) call.
+		ap, bp := make([]float64, 4*9), make([]float64, 4*9)
 		fill(rng, ap)
 		fill(rng, bp)
-		var as, av [16]float64
-		s.Gemm4x4(kc, ap, bp, &as)
-		v.Gemm4x4(kc, ap, bp, &av)
-		for i := range as {
-			if !bitsEq(as[i], av[i]) {
-				t.Fatalf("Gemm4x4 kc=%d: acc[%d] scalar %x vector %x",
-					kc, i, math.Float64bits(as[i]), math.Float64bits(av[i]))
-			}
+		var packed, strided [16]float64
+		Gemm4x4(9, ap, bp, &packed)
+		Gemm4x4Strided(9, ap, 1, 4, bp, &strided)
+		if packed != strided {
+			t.Fatalf("%s: Gemm4x4 differs from Gemm4x4Strided(1, 4)", impl.Name)
 		}
 	}
 }
