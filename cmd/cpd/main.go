@@ -8,7 +8,7 @@
 //	cpd -fmri -fmri-scale 0.3 -rank 10 -threads 4
 //	cpd -fmri -linearize -rank 10          # 3-way pairs form
 //	cpd -dims 40,40,40 -method reorder     # force the baseline MTTKRP
-//	cpd -dims 40,40,40 -multisweep         # cross-mode MTTKRP reuse
+//	cpd -dims 40,40,40 -method 2step       # per-mode sweep (paper's hybrid)
 //	cpd -fmri -nonneg -nvecs -corcondia    # nonnegative fit + diagnostics
 //	cpd -fmri -save x.tns; cpd -load x.tns # persist / reload tensors
 package main
@@ -46,9 +46,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	tol := fs.Float64("tol", 1e-4, "fit-change stopping tolerance (negative: always run maxiters)")
 	threads := fs.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
 	seed := fs.Int64("seed", 1, "random seed for data and initial guess")
-	methodName := fs.String("method", "auto", "MTTKRP method: auto, 1step, 2step, reorder")
+	methodName := fs.String("method", "auto", "MTTKRP method: auto (two tensor passes per sweep), or per mode 1step, 2step, reorder")
 	noise := fs.Float64("noise", 0.1, "with -fmri: relative noise level")
-	multiSweep := fs.Bool("multisweep", false, "share partial MTTKRPs across modes (2 tensor passes per sweep)")
 	nonneg := fs.Bool("nonneg", false, "nonnegative CP via HALS (requires a nonnegative tensor)")
 	nvecs := fs.Bool("nvecs", false, "initialize from leading eigenvectors instead of a random draw")
 	corcondia := fs.Bool("corcondia", false, "report the core consistency diagnostic of the fit")
@@ -105,13 +104,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		x.Dims(), x.Size(), float64(x.Size())*8/1e6, *rank, method)
 
 	cfg := cpd.Config{
-		Rank:       *rank,
-		MaxIters:   *iters,
-		Tol:        *tol,
-		Threads:    *threads,
-		Method:     method,
-		Seed:       *seed,
-		MultiSweep: *multiSweep,
+		Rank:     *rank,
+		MaxIters: *iters,
+		Tol:      *tol,
+		Threads:  *threads,
+		Method:   method,
+		Seed:     *seed,
 	}
 	if *nvecs {
 		cfg.Init = cpd.NVecsInit(*threads, x, *rank, *seed)

@@ -21,9 +21,14 @@ func TestRunSmallRandomTensor(t *testing.T) {
 	}
 }
 
+// TestRunMultiSweepAndMethods drives the default two-pass (multi-sweep)
+// CP path and the per-mode methods; the default and the per-mode hybrid
+// (-method 2step) must report the same fit to the printed precision.
 func TestRunMultiSweepAndMethods(t *testing.T) {
+	fits := map[string]string{}
 	for _, extra := range [][]string{
-		{"-multisweep"},
+		nil,
+		{"-method", "2step"},
 		{"-method", "reorder"},
 		{"-method", "1step"},
 		{"-nonneg"},
@@ -33,6 +38,12 @@ func TestRunMultiSweepAndMethods(t *testing.T) {
 		if err := run(args, &out, &errOut); err != nil {
 			t.Errorf("run %v: %v", extra, err)
 		}
+		_, fit, _ := strings.Cut(out.String(), "converged: fit ")
+		fit, _, _ = strings.Cut(fit, " ")
+		fits[strings.Join(extra, " ")] = fit
+	}
+	if fits[""] == "" || fits[""] != fits["-method 2step"] {
+		t.Errorf("default fit %q vs -method 2step fit %q", fits[""], fits["-method 2step"])
 	}
 }
 

@@ -36,12 +36,13 @@ func TestEndToEndNeuroimagingPipeline(t *testing.T) {
 		t.Fatal("save/load changed the tensor")
 	}
 
-	// Decompose at the planted rank, both sweep modes.
-	plain, err := cpd.ALS(loaded, cpd.Config{Rank: 3, MaxIters: 120, Tol: 1e-10, Seed: 4, Threads: 2})
+	// Decompose at the planted rank, both sweep modes: per mode (the
+	// paper's hybrid) and the default two-pass sweep.
+	plain, err := cpd.ALS(loaded, cpd.Config{Rank: 3, MaxIters: 120, Tol: 1e-10, Seed: 4, Threads: 2, Method: core.MethodTwoStep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := cpd.ALS(loaded, cpd.Config{Rank: 3, MaxIters: 120, Tol: 1e-10, Seed: 4, Threads: 2, MultiSweep: true})
+	multi, err := cpd.ALS(loaded, cpd.Config{Rank: 3, MaxIters: 120, Tol: 1e-10, Seed: 4, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

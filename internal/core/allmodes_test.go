@@ -1,11 +1,14 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/mat"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -70,6 +73,77 @@ func TestSweepAllBreakdown(t *testing.T) {
 	}
 	if bd.Get(PhaseGEMM) <= 0 || bd.Get(PhaseGEMV) <= 0 || bd.Total() <= 0 {
 		t.Errorf("breakdown not populated: %v", &bd)
+	}
+}
+
+// TestSweepAllBreakdownExcludesUpdate pins that the Breakdown total covers
+// the sweep's own work only: time the caller spends inside update (the ALS
+// solve, normalization and Gram) belongs to the caller, not the kernel.
+func TestSweepAllBreakdownExcludesUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	x, u := randomProblem(rng, []int{6, 5, 4}, 3)
+	const spin = 2 * time.Millisecond
+	var bd Breakdown
+	start := time.Now()
+	SweepAll(x, u, Options{Threads: 2, Breakdown: &bd}, func(int, mat.View) {
+		for s := time.Now(); time.Since(s) < spin; {
+		}
+	})
+	wall := time.Since(start)
+	if wall < 3*spin {
+		t.Fatalf("sweep wall %v shorter than its 3 callbacks", wall)
+	}
+	if got, max := bd.Total(), wall-3*spin; got <= 0 || got > max {
+		t.Errorf("breakdown total %v, want in (0, %v]: wall %v minus 3 callbacks of %v", got, max, wall, spin)
+	}
+}
+
+// TestDeriveMatchesTTVBits pins the arena-resident derivation to the
+// reference tensor.TTV chain bit for bit: contracting every mode of an
+// intermediate column except one, highest mode first, with TTV's loop
+// order and zero-skip.
+func TestDeriveMatchesTTVBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pool := parallel.NewPool(3)
+	defer pool.Close()
+	for _, dims := range [][]int{{7}, {4, 5}, {3, 1, 4}, {2, 3, 2, 3}, {5, 4, 3, 2, 2}} {
+		const c = 5
+		size := 1
+		for _, d := range dims {
+			size *= d
+		}
+		inter := mat.FromColMajor(make([]float64, size*c), size, c)
+		inter.Randomize(rng)
+		u := make([]mat.View, len(dims))
+		for k, d := range dims {
+			u[k] = mat.RandomDense(d, c, rng)
+			u[k].Set(0, 1, 0) // exercise the zero-skip
+		}
+		ws := pool.Acquire()
+		f := ws.Frame("core.derive", newDeriveFrame).(*deriveFrame)
+		f.ws, f.dims = ws, append(f.dims[:0], dims...)
+		for mode := range dims {
+			got := deriveFromIntermediate(pool, 3, f, inter, u, 0, len(dims), mode)
+			for col := 0; col < c; col++ {
+				sub := tensor.FromData(inter.Data[col*size:(col+1)*size], dims...)
+				for k := len(dims) - 1; k >= 0; k-- {
+					if k == mode {
+						continue
+					}
+					v := make([]float64, dims[k])
+					for i := range v {
+						v[i] = u[k].At(i, col)
+					}
+					sub = sub.TTV(k, v)
+				}
+				for i, want := range sub.Data() {
+					if math.Float64bits(got.At(i, col)) != math.Float64bits(want) {
+						t.Fatalf("dims=%v mode=%d (%d,%d): %v, TTV chain %v", dims, mode, i, col, got.At(i, col), want)
+					}
+				}
+			}
+		}
+		ws.Release()
 	}
 }
 

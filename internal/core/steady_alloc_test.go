@@ -44,3 +44,30 @@ func TestPooledKernelsSteadyStateAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepAllSteadyStateAllocFree pins the same guarantee for the
+// two-pass CP-ALS sweep: intermediates, per-mode results and contraction
+// scratch all live in the pool's workspace.
+func TestSweepAllSteadyStateAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	pool := parallel.NewPool(4)
+	defer pool.Close()
+	for _, dims := range [][]int{{30, 28, 26, 24}, {13, 11, 9, 7, 5}, {14, 12}} {
+		x := tensor.Random(rng, dims...)
+		u := make([]mat.View, len(dims))
+		for k := range u {
+			u[k] = mat.RandomDense(x.Dim(k), 10, rng)
+		}
+		opts := Options{Threads: 4, Pool: pool}
+		noop := func(int, mat.View) {}
+		SweepAll(x, u, opts, noop) // warmup
+		SweepAll(x, u, opts, noop)
+		allocs := testing.AllocsPerRun(10, func() {
+			SweepAll(x, u, opts, noop)
+		})
+		t.Logf("%v: %.1f allocs/op", dims, allocs)
+		if allocs > 0 {
+			t.Errorf("%v: %v allocs/op, want 0", dims, allocs)
+		}
+	}
+}

@@ -27,8 +27,15 @@ type Config struct {
 	Tol float64
 	// Threads is the worker count for all kernels; 0 = GOMAXPROCS.
 	Threads int
-	// Method selects the MTTKRP algorithm; the zero value (MethodAuto) is
-	// the paper's hybrid: 1-step for external modes, 2-step for internal.
+	// Method selects how a sweep computes its MTTKRPs. The zero value
+	// (MethodAuto) runs dense tensors through core.SweepAll, the
+	// cross-mode scheme of Phan et al. that the paper names as its natural
+	// next step (Section 6): two passes over the tensor per sweep instead
+	// of N, and a result that does not depend on the worker count. An
+	// explicit method runs one MTTKRP per mode with that algorithm;
+	// MethodTwoStep is the paper's per-mode hybrid (1-step on external
+	// modes, 2-step on internal ones). Both compute the same updates in
+	// exact arithmetic, not bitwise, since the sums associate differently.
 	Method core.Method
 	// BlasOnlyParallel restricts reorder-baseline parallelism to BLAS
 	// (Tensor Toolbox fidelity; see core.Options).
@@ -42,11 +49,6 @@ type Config struct {
 	// Breakdown, when non-nil, accumulates MTTKRP phase timings across
 	// all iterations (Figure 8 instrumentation).
 	Breakdown *core.Breakdown
-	// MultiSweep enables the cross-mode recomputation-avoidance scheme of
-	// Phan et al. (core.SweepAll) — the paper's "natural next step"
-	// (Section 6): each ALS sweep costs two passes over the tensor
-	// instead of N, with identical results. When set, Method is ignored.
-	MultiSweep bool
 	// Pool, when non-nil, is the execution context all kernels of the run
 	// execute on: a *parallel.Pool (persistent worker team) or a
 	// *parallel.Lease (a scheduler-granted slice of a shared team, the
@@ -117,29 +119,56 @@ var ErrBadRank = errors.New("cpd: rank must be ≥ 1")
 // The fit is computed per sweep from cached quantities (the last mode's
 // MTTKRP), adding no extra passes over the tensor.
 func ALS(x *tensor.Dense, cfg Config) (*Result, error) {
+	cfg, k, err := prepare(x, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return run(x, x.Norm(cfg.Threads), cfg, k, false), nil
+}
+
+// prepare applies cfg's defaults, validates the rank and order, and
+// returns the initial guess: cfg.Init cloned, or a draw seeded by
+// cfg.Seed.
+func prepare(x tensor.Interface, cfg Config) (Config, *KTensor, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Rank < 1 {
-		return nil, ErrBadRank
+		return cfg, nil, ErrBadRank
 	}
-	if x.Order() < 2 {
-		return nil, fmt.Errorf("cpd: tensor order %d < 2", x.Order())
+	n, c := x.Order(), cfg.Rank
+	if n < 2 {
+		return cfg, nil, fmt.Errorf("cpd: tensor order %d < 2", n)
 	}
-	n := x.Order()
-	c := cfg.Rank
-
-	// Initial guess.
-	var k *KTensor
 	if cfg.Init != nil {
 		if cfg.Init.Rank() != c || cfg.Init.Order() != n {
-			return nil, fmt.Errorf("cpd: init has rank %d order %d, want %d and %d",
+			return cfg, nil, fmt.Errorf("cpd: init has rank %d order %d, want %d and %d",
 				cfg.Init.Rank(), cfg.Init.Order(), c, n)
 		}
-		k = cfg.Init.Clone()
-	} else {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		k = RandomKTensor(rng, x.Dims(), c)
+		return cfg, cfg.Init.Clone(), nil
 	}
+	return cfg, RandomKTensor(rand.New(rand.NewSource(cfg.Seed)), x.Dims(), c), nil
+}
 
+// sweeper is the state of one ALS-family run that every sweep reuses: the
+// Gram matrices and all solve and fit scratch are allocated once, and the
+// factors are updated in place, so sweeps after the first allocate
+// nothing.
+type sweeper struct {
+	cfg    Config
+	k      *KTensor
+	nonneg bool // HALS update (NNALS) instead of the least-squares solve
+	first  bool // first sweep: normalize by 2-norms
+
+	grams []mat.View // G_k = U_kᵀU_k
+	h     mat.View   // ⊛_{k≠n} G_k, then ⊛ G_k for the fit
+	chol  mat.View   // Cholesky factor of h
+	mLast mat.View   // raw MTTKRP of the last mode, for the fit
+}
+
+// run is the sweep loop ALS, NNALS and the sparse ALS share. A dense
+// tensor with MethodAuto sweeps through core.SweepAll (two tensor passes);
+// otherwise every mode runs its own MTTKRP through core.Run.
+func run(x tensor.Interface, normX float64, cfg Config, k *KTensor, nonneg bool) *Result {
+	n, c := x.Order(), cfg.Rank
 	opts := core.Options{
 		Threads:          cfg.Threads,
 		Breakdown:        cfg.Breakdown,
@@ -150,47 +179,45 @@ func ALS(x *tensor.Dense, cfg Config) (*Result, error) {
 		// issued while the previous region was in flight.
 		PhaseNotify: func() { parallel.Reconcile(cfg.Pool) },
 	}
-	normX := x.Norm(cfg.Threads)
-	normX2 := normX * normX
-
-	// Per-mode MTTKRP result buffers, reused across sweeps so the hot loop
-	// runs on one pool and one workspace set with no steady-state
-	// allocation inside the kernels. The MultiSweep path derives its
-	// results inside SweepAll and never uses these.
-	var dsts []mat.View
-	if !cfg.MultiSweep {
+	s := &sweeper{
+		cfg: cfg, k: k, nonneg: nonneg,
+		grams: make([]mat.View, n),
+		h:     mat.NewDense(c, c),
+		chol:  mat.NewDense(c, c),
+		mLast: mat.NewDense(x.Dim(n-1), c),
+	}
+	for i := range s.grams {
+		s.grams[i] = mat.NewDense(c, c)
+		s.gram(i)
+	}
+	dense, _ := x.(*tensor.Dense)
+	twoPass := dense != nil && cfg.Method == core.MethodAuto
+	var dsts []mat.View // per-mode MTTKRP results, reused across sweeps
+	if !twoPass {
 		dsts = make([]mat.View, n)
-		for i := 0; i < n; i++ {
+		for i := range dsts {
 			dsts[i] = mat.NewDense(x.Dim(i), c)
 		}
 	}
+	update := s.update
 
-	// Cache Gram matrices of every factor.
-	grams := make([]mat.View, n)
-	for i := 0; i < n; i++ {
-		grams[i] = gramOn(cfg.Pool, cfg.Threads, k.Factors[i])
+	res := &Result{
+		K:          k,
+		FitHistory: make([]float64, 0, cfg.MaxIters),
+		IterTimes:  make([]time.Duration, 0, cfg.MaxIters),
 	}
-
-	res := &Result{K: k}
 	fitOld := 0.0
-	mLast := mat.NewDense(x.Dim(n-1), c) // raw MTTKRP of the last mode
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		start := time.Now()
-		updateMode := func(mode int, m mat.View) {
-			if mode == n-1 {
-				mLast.CopyFrom(m) // keep for the fit before the solve clobbers it
-			}
-			h := hadamardOfGramsExcept(grams, mode, c)
-			u := la.PinvSolveGram(h, m)
-			normalizeColumns(u, k.Lambda, iter == 0)
-			k.Factors[mode] = u
-			grams[mode] = gramOn(cfg.Pool, cfg.Threads, u)
-		}
-		if cfg.MultiSweep {
-			core.SweepAll(x, k.Factors, opts, updateMode)
+		s.first = iter == 0
+		if twoPass {
+			core.SweepAll(dense, k.Factors, opts, update)
 		} else {
 			for mode := 0; mode < n; mode++ {
-				updateMode(mode, core.ComputeInto(dsts[mode], cfg.Method, x, k.Factors, mode, opts))
+				update(mode, core.Run(core.Request{
+					X: x, Factors: k.Factors, Mode: mode, Method: cfg.Method,
+					Dst: dsts[mode], Opts: opts,
+				}))
 			}
 		}
 		res.IterTimes = append(res.IterTimes, time.Since(start))
@@ -204,7 +231,7 @@ func ALS(x *tensor.Dense, cfg Config) (*Result, error) {
 			cfg.PhaseNotify()
 		}
 
-		fit := computeFit(normX, normX2, k, grams, mLast)
+		fit := s.fit(normX)
 		res.FitHistory = append(res.FitHistory, fit)
 		res.Fit = fit
 		if cfg.Tol > 0 && iter > 0 && math.Abs(fit-fitOld) < cfg.Tol {
@@ -212,18 +239,41 @@ func ALS(x *tensor.Dense, cfg Config) (*Result, error) {
 		}
 		fitOld = fit
 	}
-	return res, nil
+	return res
 }
 
-// hadamardOfGramsExcept returns H = ⊛_{k≠mode} G_k (C×C).
-func hadamardOfGramsExcept(grams []mat.View, mode, c int) mat.View {
-	h := onesMatrix(c)
-	for i, g := range grams {
+// update rewrites factor `mode` in place from its raw MTTKRP m, which is
+// valid only for the duration of the call (core.SweepAll reuses it).
+func (s *sweeper) update(mode int, m mat.View) {
+	if mode == len(s.grams)-1 {
+		s.mLast.CopyFrom(m) // keep for the fit
+	}
+	s.hadamardExcept(mode)
+	u := s.k.Factors[mode]
+	if s.nonneg {
+		halsUpdate(u, m, s.h)
+	} else {
+		u.CopyFrom(m)
+		la.PinvSolveGramInto(s.h, u, s.chol)
+		normalizeColumns(u, s.k.Lambda, s.first)
+	}
+	s.gram(mode)
+}
+
+// gram recomputes G_mode = UᵀU into its retained buffer.
+func (s *sweeper) gram(mode int) {
+	u := s.k.Factors[mode]
+	blas.GemmOn(s.cfg.Pool, s.cfg.Threads, 1, u.T(), u, 0, s.grams[mode])
+}
+
+// hadamardExcept sets h = ⊛_{k≠mode} G_k (mode < 0 includes every Gram).
+func (s *sweeper) hadamardExcept(mode int) {
+	s.h.Fill(1)
+	for i, g := range s.grams {
 		if i != mode {
-			hadamardInPlace(h, g)
+			hadamardInPlace(s.h, g)
 		}
 	}
-	return h
 }
 
 // normalizeColumns rescales the columns of u into lambda: 2-norms on the
@@ -248,27 +298,25 @@ func normalizeColumns(u mat.View, lambda []float64, firstIter bool) {
 	}
 }
 
-// computeFit evaluates 1 − ‖X−Y‖/‖X‖ from cached quantities:
+// fit evaluates 1 − ‖X−Y‖/‖X‖ from cached quantities:
 // ‖Y‖² = λᵀ(⊛ G_k)λ and ⟨X, Y⟩ = Σ_c λ_c Σ_i M(i,c)·U_{N-1}(i,c), where M
 // is the raw MTTKRP of the last updated mode.
-func computeFit(normX, normX2 float64, k *KTensor, grams []mat.View, mLast mat.View) float64 {
+func (s *sweeper) fit(normX float64) float64 {
+	k := s.k
 	c := k.Rank()
-	h := onesMatrix(c)
-	for _, g := range grams {
-		hadamardInPlace(h, g)
-	}
+	s.hadamardExcept(-1)
 	normY2 := 0.0
 	for i := 0; i < c; i++ {
 		for j := 0; j < c; j++ {
-			normY2 += k.Lambda[i] * h.At(i, j) * k.Lambda[j]
+			normY2 += k.Lambda[i] * s.h.At(i, j) * k.Lambda[j]
 		}
 	}
 	last := k.Factors[len(k.Factors)-1]
 	iprod := 0.0
 	for cc := 0; cc < c; cc++ {
-		iprod += k.Lambda[cc] * blas.Dot(mLast.Col(cc), last.Col(cc))
+		iprod += k.Lambda[cc] * blas.Dot(s.mLast.Col(cc), last.Col(cc))
 	}
-	res2 := normX2 + normY2 - 2*iprod
+	res2 := normX*normX + normY2 - 2*iprod
 	if res2 < 0 {
 		res2 = 0
 	}

@@ -2,14 +2,7 @@ package cpd
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/la"
-	"repro/internal/mat"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -27,88 +20,17 @@ func ALSAny(x tensor.Interface, cfg Config) (*Result, error) {
 	return nil, fmt.Errorf("cpd: unsupported tensor layout %v", x.Layout())
 }
 
-// alsSparse is the ALS sweep loop over the sparse MTTKRP kernel. The
-// update, normalization and fit bookkeeping are shared with the dense
-// path — only the per-mode MTTKRP differs. MultiSweep is a dense-layout
-// recomputation-avoidance scheme (partial KRPs over tensor blocks) and is
-// ignored here; Method is likewise dense-only (the sparse kernel is the
-// one algorithm) except MethodNaive, which Run resolves to the densified
+// alsSparse is ALS over the sparse MTTKRP kernel: the same sweep loop,
+// update, normalization and fit bookkeeping as the dense path, with one
+// sparse MTTKRP per mode. The two-pass sweep of the dense MethodAuto path
+// contracts partial KRPs against dense tensor blocks and has no sparse
+// form; Method is likewise dense-only (the sparse kernel is the one
+// algorithm) except MethodNaive, which core.Run resolves to the densified
 // reference.
 func alsSparse(x *tensor.Sparse, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Rank < 1 {
-		return nil, ErrBadRank
+	cfg, k, err := prepare(x, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if x.Order() < 2 {
-		return nil, fmt.Errorf("cpd: tensor order %d < 2", x.Order())
-	}
-	n := x.Order()
-	c := cfg.Rank
-
-	var k *KTensor
-	if cfg.Init != nil {
-		if cfg.Init.Rank() != c || cfg.Init.Order() != n {
-			return nil, fmt.Errorf("cpd: init has rank %d order %d, want %d and %d",
-				cfg.Init.Rank(), cfg.Init.Order(), c, n)
-		}
-		k = cfg.Init.Clone()
-	} else {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		k = RandomKTensor(rng, x.Dims(), c)
-	}
-
-	opts := core.Options{
-		Threads:     cfg.Threads,
-		Breakdown:   cfg.Breakdown,
-		Pool:        cfg.Pool,
-		PhaseNotify: func() { parallel.Reconcile(cfg.Pool) },
-	}
-	normX := x.Norm(cfg.Threads)
-	normX2 := normX * normX
-
-	dsts := make([]mat.View, n)
-	for i := 0; i < n; i++ {
-		dsts[i] = mat.NewDense(x.Dim(i), c)
-	}
-	grams := make([]mat.View, n)
-	for i := 0; i < n; i++ {
-		grams[i] = gramOn(cfg.Pool, cfg.Threads, k.Factors[i])
-	}
-
-	res := &Result{K: k}
-	fitOld := 0.0
-	mLast := mat.NewDense(x.Dim(n-1), c)
-	for iter := 0; iter < cfg.MaxIters; iter++ {
-		start := time.Now()
-		for mode := 0; mode < n; mode++ {
-			m := core.Run(core.Request{
-				X: x, Factors: k.Factors, Mode: mode, Method: cfg.Method,
-				Dst: dsts[mode], Opts: opts,
-			})
-			if mode == n-1 {
-				mLast.CopyFrom(m) // keep for the fit before the solve clobbers it
-			}
-			h := hadamardOfGramsExcept(grams, mode, c)
-			u := la.PinvSolveGram(h, m)
-			normalizeColumns(u, k.Lambda, iter == 0)
-			k.Factors[mode] = u
-			grams[mode] = gramOn(cfg.Pool, cfg.Threads, u)
-		}
-		res.IterTimes = append(res.IterTimes, time.Since(start))
-		res.Iters = iter + 1
-
-		parallel.Reconcile(cfg.Pool)
-		if cfg.PhaseNotify != nil {
-			cfg.PhaseNotify()
-		}
-
-		fit := computeFit(normX, normX2, k, grams, mLast)
-		res.FitHistory = append(res.FitHistory, fit)
-		res.Fit = fit
-		if cfg.Tol > 0 && iter > 0 && math.Abs(fit-fitOld) < cfg.Tol {
-			break
-		}
-		fitOld = fit
-	}
-	return res, nil
+	return run(x, x.Norm(cfg.Threads), cfg, k, false), nil
 }

@@ -20,11 +20,25 @@ var ErrNotPositiveDefinite = errors.New("la: matrix not positive definite")
 // symmetric positive-definite A, writing L into a fresh row-major matrix.
 // Only the lower triangle of A is read.
 func Cholesky(a mat.View) (mat.View, error) {
+	l := mat.NewDense(a.R, a.R)
+	if err := CholeskyInto(l, a); err != nil {
+		return mat.View{}, err
+	}
+	return l, nil
+}
+
+// CholeskyInto is Cholesky writing L into the caller's n×n buffer l,
+// whatever it held: the strict upper triangle is zeroed, so l ends up
+// exactly the matrix Cholesky returns. On failure l's contents are
+// unspecified.
+func CholeskyInto(l, a mat.View) error {
 	n := a.R
 	if a.C != n {
 		panic(fmt.Sprintf("la: cholesky of non-square %dx%d", a.R, a.C))
 	}
-	l := mat.NewDense(n, n)
+	if l.R != n || l.C != n {
+		panic(fmt.Sprintf("la: cholesky factor buffer is %dx%d, want %dx%d", l.R, l.C, n, n))
+	}
 	// Relative pivot threshold: treat near-singular matrices as failures so
 	// callers fall back to the pseudo-inverse instead of dividing by noise.
 	maxDiag := 0.0
@@ -40,10 +54,13 @@ func Cholesky(a mat.View) (mat.View, error) {
 			d -= l.At(j, p) * l.At(j, p)
 		}
 		if d <= tol || math.IsNaN(d) {
-			return mat.View{}, ErrNotPositiveDefinite
+			return ErrNotPositiveDefinite
 		}
 		d = math.Sqrt(d)
 		l.Set(j, j, d)
+		for i := 0; i < j; i++ {
+			l.Set(i, j, 0)
+		}
 		for i := j + 1; i < n; i++ {
 			s := a.At(i, j)
 			for p := 0; p < j; p++ {
@@ -52,7 +69,7 @@ func Cholesky(a mat.View) (mat.View, error) {
 			l.Set(i, j, s/d)
 		}
 	}
-	return l, nil
+	return nil
 }
 
 // CholeskySolveInPlace solves L·Lᵀ·x = b for each column b of rhs,
@@ -164,11 +181,18 @@ func rotate(s, v mat.View, p, q int, c, sn float64) {
 // pinv-based `cp_als` update M·H† behaves. The result overwrites m's
 // buffer and is also returned.
 func PinvSolveGram(h mat.View, m mat.View) mat.View {
+	return PinvSolveGramInto(h, m, mat.NewDense(h.R, h.R))
+}
+
+// PinvSolveGramInto is PinvSolveGram with a caller-owned C×C scratch l for
+// the Cholesky factor, so the fast path allocates nothing; only the
+// pseudo-inverse fallback allocates.
+func PinvSolveGramInto(h, m, l mat.View) mat.View {
 	c := h.R
 	if h.C != c || m.C != c {
 		panic("la: gram solve dimension mismatch")
 	}
-	if l, err := Cholesky(h); err == nil {
+	if err := CholeskyInto(l, h); err == nil {
 		// X·H = M  ⇒  H·Xᵀ = Mᵀ (H symmetric); solve per row of M.
 		CholeskySolveInPlace(l, m.T())
 		return m

@@ -42,6 +42,44 @@ func TestCholeskyReconstructs(t *testing.T) {
 	}
 }
 
+// TestCholeskyIntoReusesDirtyBuffer pins that the buffer-writing form
+// yields Cholesky's matrix bit for bit whatever the buffer held, with
+// zero allocations, and that PinvSolveGramInto matches PinvSolveGram.
+func TestCholeskyIntoReusesDirtyBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 3, 10} {
+		a := randomSPD(n, rng)
+		want, err := Cholesky(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := mat.NewDense(n, n)
+		l.Fill(math.NaN())
+		if allocs := testing.AllocsPerRun(5, func() {
+			if err := CholeskyInto(l, a); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 0 {
+			t.Errorf("n=%d: CholeskyInto %v allocs/op, want 0", n, allocs)
+		}
+		for i, v := range l.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("n=%d: entry %d is %v, Cholesky %v", n, i, v, want.Data[i])
+			}
+		}
+
+		m := mat.RandomDense(7, n, rng)
+		got := PinvSolveGramInto(a, m.Clone(), l)
+		ref := PinvSolveGram(a, m.Clone())
+		if mat.MaxAbsDiff(got, ref) != 0 {
+			t.Errorf("n=%d: PinvSolveGramInto differs from PinvSolveGram by %g", n, mat.MaxAbsDiff(got, ref))
+		}
+	}
+	if err := CholeskyInto(mat.NewDense(2, 2), mat.FromRowMajor([]float64{1, 2, 2, 1}, 2, 2)); err == nil {
+		t.Error("expected failure for indefinite matrix")
+	}
+}
+
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := mat.FromRowMajor([]float64{1, 2, 2, 1}, 2, 2) // eigenvalues 3, -1
 	if _, err := Cholesky(a); err == nil {

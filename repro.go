@@ -295,11 +295,11 @@ func KhatriRao(threads int, mats ...Matrix) Matrix {
 }
 
 // CP computes a rank-C CP decomposition of x (either layout) by
-// alternating least squares, using the paper's hybrid MTTKRP for dense
-// tensors (unless cfg.Method overrides it) and the compressed-fiber
-// kernel for sparse ones. Set cfg.MultiSweep to share partial MTTKRP
-// results across the modes of each sweep (dense only: two tensor passes
-// per sweep instead of N, identical results).
+// alternating least squares. Dense tensors share partial MTTKRP results
+// across the modes of each sweep (two tensor passes per sweep instead of
+// N, with a result independent of the worker count) unless cfg.Method
+// selects a per-mode MTTKRP algorithm; sparse tensors run the
+// compressed-fiber kernel once per mode.
 func CP(x AnyTensor, cfg CPConfig) (*CPResult, error) {
 	return cpd.ALSAny(x, cfg)
 }

@@ -90,17 +90,17 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatalf("TTM dims %v", y.Dims())
 	}
 
-	// Multi-sweep CP matches regular CP.
-	a, err := repro.CP(x, repro.CPConfig{Rank: 2, MaxIters: 4, Tol: -1, Seed: 1})
+	// The default two-pass CP sweep matches the per-mode hybrid.
+	a, err := repro.CP(x, repro.CPConfig{Rank: 2, MaxIters: 4, Tol: -1, Seed: 1, Method: repro.MethodTwoStep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := repro.CP(x, repro.CPConfig{Rank: 2, MaxIters: 4, Tol: -1, Seed: 1, MultiSweep: true})
+	b, err := repro.CP(x, repro.CPConfig{Rank: 2, MaxIters: 4, Tol: -1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := a.Fit - b.Fit; d > 1e-6 || d < -1e-6 {
-		t.Errorf("multisweep fit %v vs %v", b.Fit, a.Fit)
+		t.Errorf("two-pass sweep fit %v vs per-mode %v", b.Fit, a.Fit)
 	}
 
 	// Diagnostics and init run.
