@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/mat"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -156,14 +155,8 @@ func (k *KTensor) Clone() *KTensor {
 
 // gram computes G = UᵀU (C×C) with t workers.
 func gram(t int, u mat.View) mat.View {
-	return gramOn(nil, t, u)
-}
-
-// gramOn is gram on an explicit pool (nil = default), so per-request ALS
-// runs keep their Gram updates on the request's own pool.
-func gramOn(p parallel.Executor, t int, u mat.View) mat.View {
 	g := mat.NewDense(u.C, u.C)
-	blas.GemmOn(p, t, 1, u.T(), u, 0, g)
+	blas.GemmOn(nil, t, 1, u.T(), u, 0, g)
 	return g
 }
 
