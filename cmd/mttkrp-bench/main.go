@@ -11,7 +11,6 @@
 //	mttkrp-bench -serve -conc 4 -requests 256 -sdims 60x50x40 -rank 16
 //	mttkrp-bench -serve -mix small:8,large:1   # heterogeneous mix: cost-aware vs even-split, per-class p99
 //	mttkrp-bench -serve -sparse -density 0.01  # COO workload through the nnz-partitioned sparse path
-//	mttkrp-bench -serve -fuse=off              # A/B half: batch-level KRP fusion disabled
 //	mttkrp-bench -serve -simd=off              # A/B half: scalar reference kernels
 //	mttkrp-bench -kernels                      # per-kernel GFLOP/s table, scalar vs vectorized
 //	mttkrp-bench -serve-http               # HTTP load against an in-process listener
@@ -80,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	sparse := fs.Bool("sparse", false, "serving: generate COO tensors instead of dense ones (nnz-partitioned kernel, nnz-priced admission; -serve-http ships the v2 sparse wire format)")
 	mmap := fs.Bool("mmap", false, "serve-http: ship by-reference requests (wire v3, /v1/mttkrp-ref) against an in-process listener with a tensor root — the tensor file is mapped server-side and only factors cross the wire (A/B against full payloads via the decode-share column)")
 	density := fs.Float64("density", 0.01, "serving: fill fraction of the sparse tensors (with -sparse)")
-	fuse := fs.String("fuse", "on", "serving: batch-level KRP fusion on the served side, on or off (run both for the A/B; tables carry a fuse-hit column)")
 	simdAB := fs.String("simd", "on", "vectorized kernels, on or off (off forces the scalar reference; applies to -serve, -serve-http and -kernels)")
 	kernelsMode := fs.Bool("kernels", false, "print the per-kernel GFLOP/s table (scalar vs vectorized) instead of figure regeneration")
 	kernelTime := fs.Duration("kernel-mintime", 20*time.Millisecond, "kernels: minimum measured time per cell (larger = steadier numbers)")
@@ -118,15 +116,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *mixSpec != "" && !*serveMode && !*serveHTTP {
 		return cli.UsageError{Msg: "-mix applies to the serving load generators; pass -serve or -serve-http"}
 	}
-	if *fuse != "on" && *fuse != "off" {
-		return cli.UsageError{Msg: fmt.Sprintf("-fuse: unknown value %q (want on or off)", *fuse)}
-	}
-	fuseSet := false
-	fs.Visit(func(f *flag.Flag) { fuseSet = fuseSet || f.Name == "fuse" })
-	if fuseSet && !*serveMode && !*serveHTTP {
-		return cli.UsageError{Msg: "-fuse applies to the serving load generators; pass -serve or -serve-http"}
-	}
-	noFusion := *fuse == "off"
 	if *simdAB != "on" && *simdAB != "off" {
 		return cli.UsageError{Msg: fmt.Sprintf("-simd: unknown value %q (want on or off)", *simdAB)}
 	}
@@ -204,7 +193,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				Sparse:   *sparse,
 				Density:  *density,
 				Mmap:     *mmap,
-				NoFusion: noFusion,
 				NoSIMD:   noSIMD,
 				Out:      func(format string, a ...any) { fmt.Fprintf(stdout, format, a...) },
 			})
@@ -232,7 +220,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Mix:      *mixSpec,
 			Sparse:   *sparse,
 			Density:  *density,
-			NoFusion: noFusion,
 			NoSIMD:   noSIMD,
 			Out:      func(format string, a ...any) { fmt.Fprintf(stdout, format, a...) },
 		})

@@ -193,7 +193,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	minWorkers := fs.Int("minworkers", 1, "admission floor: minimum workers per request")
 	maxActive := fs.Int("maxactive", 0, "max concurrently executing requests (0 = workers/minworkers)")
 	noBatch := fs.Bool("nobatch", false, "disable same-shape request batching")
-	noFuse := fs.Bool("nofuse", false, "disable batch-level KRP fusion (coalesced batches recompute the Khatri-Rao intermediate per member; the measured baseline)")
 	noSIMD := fs.Bool("nosimd", false, "force the scalar reference kernels for this process (equivalent to MTTKRP_NOSIMD=1; the -simd A/B's served half)")
 	evenSplit := fs.Bool("evensplit", false, "revert admission to the even-split FIFO policy (baseline; default is cost-aware with an aging queue)")
 	maxShare := fs.Float64("maxshare", 0, "cost-aware admission: cap one request's share of the pool width, 0 < v <= 1 (0 = no cap)")
@@ -227,7 +226,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		MinWorkers:      *minWorkers,
 		MaxActive:       *maxActive,
 		DisableBatching: *noBatch,
-		DisableFusion:   *noFuse,
 		EvenSplit:       *evenSplit,
 		MaxShare:        *maxShare,
 	}

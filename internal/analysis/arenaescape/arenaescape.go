@@ -1,17 +1,17 @@
 // Package arenaescape flags arena-backed buffers that escape their
 // region: slices leased from parallel.Arena (Float64/Ints) and arenas
-// obtained from parallel.Workspace (Arena/PlanArena) that are stored into
-// struct fields, package-level variables, or channels, or captured by a
+// obtained from parallel.Workspace (Arena) that are stored into struct
+// fields, package-level variables, or channels, or captured by a
 // goroutine — all places that can outlive Workspace.Release, after which
 // the backing memory is handed to the next same-shape request (the
-// aliasing-bug class PR 3's pooled-buffer decode and PR 5's plan
-// snapshots were hand-audited for; DESIGN.md §11).
+// aliasing-bug class the pooled-buffer wire decode was hand-audited for;
+// DESIGN.md §11).
 //
 // The analysis is intentionally shallow: it tracks values produced by a
 // direct lease call (or a local variable assigned one, a reslice of one,
 // or a composite literal wrapping one) within a single function.
 // Helper-mediated stores (e.g. a constructor that both leases and
-// registers a buffer) are the PlanArena contract's job, not this
+// registers a buffer) are the Workspace contract's job, not this
 // analyzer's.
 package arenaescape
 
@@ -44,7 +44,7 @@ func run(pass *analysis.Pass) error {
 // isLeaseCall reports whether call leases region-scoped memory from the
 // parallel runtime.
 func isLeaseCall(info *types.Info, call *ast.CallExpr) bool {
-	return analysis.MethodOn(info, call, analysis.ParallelPkg, "Float64", "Ints", "Arena", "PlanArena")
+	return analysis.MethodOn(info, call, analysis.ParallelPkg, "Float64", "Ints", "Arena")
 }
 
 // checkFunc walks one function body in source order, tracking

@@ -30,7 +30,7 @@ func badField(ws *parallel.Workspace, c *cache, n int) {
 }
 
 func badGlobal(ws *parallel.Workspace, n int) {
-	buf := ws.PlanArena().Float64("g", n)
+	buf := ws.Arena(0).Float64("g", n)
 	global = buf              // want `package-level variable global`
 	registry["k"] = buf[:n/2] // want `package-level container registry`
 }

@@ -7,10 +7,12 @@
 // make/new/append, slice or map literals (and &T{} literals), closure
 // literals, go statements, method-value captures, string concatenation
 // or string<->slice conversions, or implicit interface conversions at
-// call sites and assignments (boxing). TestSteadyAlloc and
-// TestFusedPlanSteadyAlloc pin the property dynamically for two shapes;
-// the annotation enforces it for every annotated function on every path,
-// at vet time.
+// call sites and assignments (boxing). The steady-state tests
+// (TestPooledKernelsSteadyStateAllocFree, TestSweepAllSteadyStateAllocFree,
+// TestTiledSteadyStateAllocFree and TestSparseSteadyStateAllocFree in
+// internal/core, TestPoolDispatchSteadyStateAllocFree in internal/parallel)
+// pin the property dynamically for fixed shapes; the annotation enforces
+// it for every annotated function on every path, at vet time.
 //
 // Cold-path allocations that are part of the warmup contract (an arena
 // growing a buffer the first time a shape is seen) are suppressed

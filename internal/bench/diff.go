@@ -29,7 +29,7 @@ type testEvent struct {
 
 // BenchResult is one parsed benchmark result line: the metric values per
 // unit (ns/op, B/op, allocs/op, and any testing.B ReportMetric custom
-// units such as fused-hit-rate or GFLOP/s).
+// units such as small-p99-ms or GFLOP/s).
 type BenchResult struct {
 	Package string
 	Name    string // benchmark name with the -N GOMAXPROCS suffix stripped

@@ -8,15 +8,15 @@ import (
 const baseJSON = `{"Action":"run","Package":"repro/internal/core","Test":"BenchmarkMTTKRP"}
 {"Action":"output","Package":"repro/internal/core","Output":"BenchmarkMTTKRP-8   \t     100\t   1200 ns/op\t       0 B/op\t       0 allocs/op\n"}
 {"Action":"output","Package":"repro/internal/core","Output":"some b.Log line, not a result\n"}
-{"Action":"output","Package":"repro/internal/serve","Output":"BenchmarkFusedBatch-8   \t      50\t  40000 ns/op\t         0.7500 fused-hit-rate\n"}
+{"Action":"output","Package":"repro/internal/serve","Output":"BenchmarkMixedAdmission-8   \t      50\t  40000 ns/op\t         0.7500 small-p99-ms\n"}
 {"Action":"output","Package":"repro/internal/serve","Output":"BenchmarkRemoved-8   \t      10\t  99 ns/op\n"}
 not json at all
 {"Action":"pass","Package":"repro/internal/core"}
 `
 
 const headJSON = `{"Action":"output","Package":"repro/internal/core","Output":"BenchmarkMTTKRP-8   \t     100\t    600 ns/op\t       0 B/op\t       0 allocs/op\n"}
-{"Action":"output","Package":"repro/internal/serve","Output":"BenchmarkFusedBatch-8   \t      50\t  40000 ns/op\t         0.9000 fused-hit-rate\n"}
-{"Action":"output","Package":"repro/internal/serve","Output":"BenchmarkFusedBatch-8   \t      80\t  30000 ns/op\t         0.9000 fused-hit-rate\n"}
+{"Action":"output","Package":"repro/internal/serve","Output":"BenchmarkMixedAdmission-8   \t      50\t  40000 ns/op\t         0.9000 small-p99-ms\n"}
+{"Action":"output","Package":"repro/internal/serve","Output":"BenchmarkMixedAdmission-8   \t      80\t  30000 ns/op\t         0.9000 small-p99-ms\n"}
 {"Action":"output","Package":"repro/internal/tensor","Output":"BenchmarkNew-8   \t      10\t  5 ns/op\n"}
 `
 
@@ -35,7 +35,7 @@ func TestParseBenchJSON(t *testing.T) {
 	if m.Metrics["ns/op"] != 1200 || m.Metrics["allocs/op"] != 0 {
 		t.Fatalf("metrics: %+v", m.Metrics)
 	}
-	if rs[1].Metrics["fused-hit-rate"] != 0.75 {
+	if rs[1].Metrics["small-p99-ms"] != 0.75 {
 		t.Fatalf("custom metric: %+v", rs[1].Metrics)
 	}
 }
@@ -46,7 +46,7 @@ func TestParseBenchJSONLastResultWins(t *testing.T) {
 		t.Fatalf("ParseBenchJSON: %v", err)
 	}
 	for _, r := range rs {
-		if r.Name == "BenchmarkFusedBatch" && r.Metrics["ns/op"] != 30000 {
+		if r.Name == "BenchmarkMixedAdmission" && r.Metrics["ns/op"] != 30000 {
 			t.Fatalf("duplicate result not overwritten: %+v", r)
 		}
 	}
@@ -67,7 +67,7 @@ func TestDiff(t *testing.T) {
 
 	for _, want := range []string{
 		"core.MTTKRP", "ns/op", "-50.0%", // 1200 -> 600
-		"+20.0%",                  // fused-hit-rate 0.75 -> 0.9
+		"+20.0%",                  // small-p99-ms 0.75 -> 0.9
 		"tensor.New",              // head-only benchmark
 		"new",                     //
 		"serve.Removed",           // base-only benchmark

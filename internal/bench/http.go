@@ -58,14 +58,10 @@ type HTTPLoadConfig struct {
 	// Density is the fill fraction of the sparse tensors (default 0.01);
 	// only meaningful with Sparse.
 	Density float64
-	// NoFusion disables batch-level KRP fusion on the in-process
-	// listener (the -fuse=off half of the A/B); ignored when URL targets
-	// an external listener, whose config the load generator cannot set.
-	NoFusion bool
 	// NoSIMD forces the scalar reference kernels in this process for the
-	// duration of the run (the -simd=off half of the A/B). Like
-	// NoFusion, it cannot reach an external listener — there, start the
-	// listener with mttkrp-serve -nosimd instead.
+	// duration of the run (the -simd=off half of the A/B). It cannot
+	// reach an external listener — there, start the listener with
+	// mttkrp-serve -nosimd instead.
 	NoSIMD bool
 	// Out receives OBS commentary lines (may be nil).
 	Out func(format string, args ...any)
@@ -125,10 +121,9 @@ func HTTPLoad(cfg HTTPLoadConfig) (*Table, error) {
 	}
 
 	url := cfg.URL
-	var srv *transport.Server // non-nil only for the in-process listener
 	if url == "" {
-		srv = transport.NewServer(transport.Config{
-			Serve:      serve.Config{Workers: cfg.Workers, DisableFusion: cfg.NoFusion},
+		srv := transport.NewServer(transport.Config{
+			Serve:      serve.Config{Workers: cfg.Workers},
 			TensorRoot: tensorRoot,
 		})
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -138,12 +133,12 @@ func HTTPLoad(cfg HTTPLoadConfig) (*Table, error) {
 		go srv.Serve(l)
 		defer srv.Close()
 		url = "http://" + l.Addr().String()
-		cfg.Out("OBS http: started in-process listener %s (%d workers, fusion %s, simd %s)\n", url, srv.Workers(), onOff(!cfg.NoFusion), onOff(!cfg.NoSIMD))
+		cfg.Out("OBS http: started in-process listener %s (%d workers, simd %s)\n", url, srv.Workers(), onOff(!cfg.NoSIMD))
 	}
 
 	client := transport.NewClient(url)
 	if cfg.Mix != "" {
-		return httpMixLoad(cfg, client, url, srv)
+		return httpMixLoad(cfg, client, url)
 	}
 
 	rng := rand.New(rand.NewSource(99))
@@ -185,7 +180,7 @@ func HTTPLoad(cfg HTTPLoadConfig) (*Table, error) {
 	tb := NewTable(
 		fmt.Sprintf("HTTP transport throughput — %s MTTKRP %v rank %d mode %d, %d requests per level, %s/request on the wire",
 			httpLayoutTag(cfg, x), cfg.Dims, cfg.Rank, cfg.Mode, cfg.Requests, cli.FormatBytes(payload)),
-		"conc", "req/s", "MB/s in", "p50 ms", "p95 ms", "p99 ms", "decode ms/req", "compute ms/req", "decode share", "rejected", "fuse hit")
+		"conc", "req/s", "MB/s in", "p50 ms", "p95 ms", "p99 ms", "decode ms/req", "compute ms/req", "decode share", "rejected")
 
 	// Warm the connection pool and the server's shape-keyed workspaces.
 	if _, _, err := send(mat.View{}); err != nil {
@@ -193,9 +188,7 @@ func HTTPLoad(cfg HTTPLoadConfig) (*Table, error) {
 	}
 
 	for _, conc := range cfg.Conc {
-		pre := serveStatsOf(srv)
 		r := runHTTPLevel(cfg, send, x, conc)
-		hit := httpFuseHit(srv, pre)
 		completed := cfg.Requests - int(r.rejected)
 		decodeMs, computeMs := 0.0, 0.0
 		if completed > 0 {
@@ -213,10 +206,9 @@ func HTTPLoad(cfg HTTPLoadConfig) (*Table, error) {
 			fmt.Sprintf("%.3f", ms(r.res.p50)), fmt.Sprintf("%.3f", ms(r.res.p95)), fmt.Sprintf("%.3f", ms(r.res.p99)),
 			fmt.Sprintf("%.3f", decodeMs), fmt.Sprintf("%.3f", computeMs),
 			fmt.Sprintf("%.1f%%", share),
-			fmt.Sprintf("%d", r.rejected),
-			hit)
-		cfg.Out("OBS http conc=%d: %.1f req/s (%.1f MB/s in), decode %.3f ms vs compute %.3f ms per request (%.1f%% decode), %d rejected, fuse hit %s\n",
-			conc, r.res.throughput, mbps, decodeMs, computeMs, share, r.rejected, hit)
+			fmt.Sprintf("%d", r.rejected))
+		cfg.Out("OBS http conc=%d: %.1f req/s (%.1f MB/s in), decode %.3f ms vs compute %.3f ms per request (%.1f%% decode), %d rejected\n",
+			conc, r.res.throughput, mbps, decodeMs, computeMs, share, r.rejected)
 	}
 	return tb, nil
 }
@@ -240,35 +232,11 @@ func clientMTTKRP(client *transport.Client, dst mat.View, x tensor.Interface, u 
 	return client.MTTKRP(dst, x.(*tensor.Dense), u, mode, 0)
 }
 
-// serveStatsOf snapshots the in-process listener's scheduler counters
-// (zero Stats for an external listener).
-func serveStatsOf(srv *transport.Server) serve.Stats {
-	if srv == nil {
-		return serve.Stats{}
-	}
-	return srv.Stats().Serve
-}
-
-// httpFuseHit formats the fusion hit rate of one concurrency level as the
-// delta against the pre-level snapshot; external listeners (no stats
-// access over the load-generator path) report n/a.
-func httpFuseHit(srv *transport.Server, pre serve.Stats) string {
-	if srv == nil {
-		return "n/a"
-	}
-	post := srv.Stats().Serve
-	batches := post.Batches - pre.Batches
-	if batches <= 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.0f%%", 100*float64(post.Fused-pre.Fused)/float64(batches))
-}
-
 // httpMixLoad ships the heterogeneous class mix over the wire: every
 // request carries its class's full tensor payload, and latency percentiles
 // are reported per class — the network-path view of the convoy/tail
 // measurement (including p99, which one-shape runs hide).
-func httpMixLoad(cfg HTTPLoadConfig, client *transport.Client, url string, srv *transport.Server) (*Table, error) {
+func httpMixLoad(cfg HTTPLoadConfig, client *transport.Client, url string) (*Table, error) {
 	mix, err := ParseMix(cfg.Mix)
 	if err != nil {
 		return nil, fmt.Errorf("bench: -mix: %w", err)
@@ -303,7 +271,6 @@ func httpMixLoad(cfg HTTPLoadConfig, client *transport.Client, url string, srv *
 		"conc", "class", "req/s", "p50 ms", "p95 ms", "p99 ms", "rejected")
 
 	for _, conc := range cfg.Conc {
-		pre := serveStatsOf(srv)
 		seq := classSequence(mix, cfg.Requests, int64(conc))
 		latencies := make([]time.Duration, len(seq))
 		accepted := make([]bool, len(seq))
@@ -360,7 +327,6 @@ func httpMixLoad(cfg HTTPLoadConfig, client *transport.Client, url string, srv *
 			cfg.Out("OBS http mix conc=%d class=%s: %.1f req/s, p99 %.3f ms\n",
 				conc, classes[c].name, r.throughput, ms(r.p99))
 		}
-		cfg.Out("OBS http mix conc=%d: fuse hit %s\n", conc, httpFuseHit(srv, pre))
 	}
 	return tb, nil
 }

@@ -41,14 +41,10 @@ type ServeLoadConfig struct {
 	Mix string
 	// Sparse switches the generated workload to COO tensors at Density,
 	// driving the nnz-partitioned sparse kernel and nnz-priced admission.
-	// Fusion is dense-only, so sparse runs report a zero fuse hit.
 	Sparse bool
 	// Density is the fill fraction of the sparse tensors (default 0.01);
 	// only meaningful with Sparse.
 	Density float64
-	// NoFusion disables batch-level KRP fusion on the served side (the
-	// -fuse=off half of the A/B); the fuse-hit column then reads 0.
-	NoFusion bool
 	// NoSIMD forces the scalar reference kernels for the duration of the
 	// run (the -simd=off half of the A/B). The swap is process-global and
 	// happens before any load starts; the previous dispatch is restored
@@ -135,11 +131,11 @@ func ServeLoad(cfg ServeLoadConfig) (*Table, error) {
 	}
 
 	tb := NewTable(
-		fmt.Sprintf("Serving throughput — %s MTTKRP %v rank %d mode %d, %d requests per level, fusion %s, simd %s",
-			layoutTag(cfg.Sparse, cfg.Density, x), cfg.Dims, cfg.Rank, cfg.Mode, cfg.Requests, onOff(!cfg.NoFusion), onOff(!cfg.NoSIMD)),
+		fmt.Sprintf("Serving throughput — %s MTTKRP %v rank %d mode %d, %d requests per level, simd %s",
+			layoutTag(cfg.Sparse, cfg.Density, x), cfg.Dims, cfg.Rank, cfg.Mode, cfg.Requests, onOff(!cfg.NoSIMD)),
 		"conc", "served req/s", "naive req/s", "speedup",
 		"served p50 ms", "served p95 ms", "served p99 ms",
-		"naive p50 ms", "naive p95 ms", "naive p99 ms", "fuse hit")
+		"naive p50 ms", "naive p95 ms", "naive p99 ms")
 
 	for _, conc := range cfg.Conc {
 		served, st := runServed(cfg, x, u, conc)
@@ -150,10 +146,9 @@ func ServeLoad(cfg ServeLoadConfig) (*Table, error) {
 			fmt.Sprintf("%.1f", naive.throughput),
 			fmt.Sprintf("%.2fx", speedup),
 			fmt.Sprintf("%.3f", ms(served.p50)), fmt.Sprintf("%.3f", ms(served.p95)), fmt.Sprintf("%.3f", ms(served.p99)),
-			fmt.Sprintf("%.3f", ms(naive.p50)), fmt.Sprintf("%.3f", ms(naive.p95)), fmt.Sprintf("%.3f", ms(naive.p99)),
-			fuseHit(st))
-		cfg.Out("OBS serve conc=%d: %.1f req/s served vs %.1f req/s naive pools (%.2fx); %d/%d batches fused, ~%.0f KRP kflops saved\n",
-			conc, served.throughput, naive.throughput, speedup, st.Fused, st.Batches, st.FusedSavedFlops/1e3)
+			fmt.Sprintf("%.3f", ms(naive.p50)), fmt.Sprintf("%.3f", ms(naive.p95)), fmt.Sprintf("%.3f", ms(naive.p99)))
+		cfg.Out("OBS serve conc=%d: %.1f req/s served vs %.1f req/s naive pools (%.2fx); %d batches, %d requests coalesced\n",
+			conc, served.throughput, naive.throughput, speedup, st.Batches, st.Coalesced)
 	}
 	return tb, nil
 }
@@ -163,15 +158,6 @@ func onOff(on bool) string {
 		return "on"
 	}
 	return "off"
-}
-
-// fuseHit formats the per-batch fusion hit rate of one measured run: the
-// fraction of executed batches that ran on a shared KRP plan.
-func fuseHit(st serve.Stats) string {
-	if st.Batches == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.0f%%", 100*float64(st.Fused)/float64(st.Batches))
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
@@ -301,8 +287,8 @@ func serveMixLoad(cfg ServeLoadConfig) (*Table, error) {
 	}
 
 	tb := NewTable(
-		fmt.Sprintf("Mixed serving load — %s base %v rank %d, mix %s, %d requests per level, fusion %s, simd %s",
-			layoutTag(cfg.Sparse, cfg.Density, nil), cfg.Dims, cfg.Rank, cfg.Mix, cfg.Requests, onOff(!cfg.NoFusion), onOff(!cfg.NoSIMD)),
+		fmt.Sprintf("Mixed serving load — %s base %v rank %d, mix %s, %d requests per level, simd %s",
+			layoutTag(cfg.Sparse, cfg.Density, nil), cfg.Dims, cfg.Rank, cfg.Mix, cfg.Requests, onOff(!cfg.NoSIMD)),
 		"conc", "policy", "class", "req/s", "p50 ms", "p95 ms", "p99 ms")
 
 	for _, conc := range cfg.Conc {
@@ -321,8 +307,8 @@ func serveMixLoad(cfg ServeLoadConfig) (*Table, error) {
 					fmt.Sprintf("%.1f", r.throughput),
 					fmt.Sprintf("%.3f", ms(r.p50)), fmt.Sprintf("%.3f", ms(r.p95)), fmt.Sprintf("%.3f", ms(r.p99)))
 			}
-			cfg.Out("OBS mix conc=%d policy=%s: peak queue %d, max queue wait %.3f ms, %d aged reorders, %d/%d batches fused\n",
-				conc, policy.name, st.PeakQueued, st.MaxQueueWaitMs, st.Reordered, st.Fused, st.Batches)
+			cfg.Out("OBS mix conc=%d policy=%s: peak queue %d, max queue wait %.3f ms, %d aged reorders, %d batches\n",
+				conc, policy.name, st.PeakQueued, st.MaxQueueWaitMs, st.Reordered, st.Batches)
 		}
 	}
 	return tb, nil
@@ -333,7 +319,7 @@ func serveMixLoad(cfg ServeLoadConfig) (*Table, error) {
 // recording latency per class. It returns the scheduler's counter snapshot
 // taken after the load drains (queue-wait highs and aging reorders).
 func runMixPolicy(cfg ServeLoadConfig, classes []mixClass, seq []int, conc int, evenSplit bool) ([][]time.Duration, time.Duration, serve.Stats) {
-	srv := serve.New(serve.Config{Workers: cfg.Workers, EvenSplit: evenSplit, DisableFusion: cfg.NoFusion})
+	srv := serve.New(serve.Config{Workers: cfg.Workers, EvenSplit: evenSplit})
 	defer srv.Close()
 	// Warm every class's shape-keyed workspace set (and the scheduler's
 	// service-rate estimate) before timing.
@@ -417,9 +403,9 @@ func driveLoad(cfg ServeLoadConfig, x tensor.Interface, conc int, request func(d
 }
 
 // runServed measures the admission-controlled scheduler under load,
-// returning its counter snapshot alongside (the fusion hit rate column).
+// returning its counter snapshot alongside (batch and coalescing counts).
 func runServed(cfg ServeLoadConfig, x tensor.Interface, u []mat.View, conc int) (serveLoadResult, serve.Stats) {
-	s := serve.New(serve.Config{Workers: cfg.Workers, DisableFusion: cfg.NoFusion})
+	s := serve.New(serve.Config{Workers: cfg.Workers})
 	defer s.Close()
 	// Warm the shape-keyed workspace set once, as a steady-state server
 	// would be.
@@ -431,8 +417,7 @@ func runServed(cfg ServeLoadConfig, x tensor.Interface, u []mat.View, conc int) 
 			panic(err)
 		}
 	})
-	// Tickets resolve inside batch execution, before the executor folds
-	// its fusion counters into the stats; drain so the snapshot is exact.
+	// Drain so every batch has released its lease before the snapshot.
 	s.Drain()
 	return r, s.Stats()
 }

@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/krp"
 	"repro/internal/mat"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -124,11 +123,6 @@ type Options struct {
 	// off and let the OS keep warm pages. No effect on heap tensors or
 	// untiled calls; results are bit-identical either way.
 	DropBehind bool
-
-	// plan, when non-nil, is a prebuilt shared Khatri-Rao intermediate the
-	// kernels may consume instead of recomputing their partial KRPs (batch
-	// fusion; set via ComputeIntoWithPlan, which documents the contract).
-	plan *krp.Plan
 
 	// tileClass, when positive, marks this call as a row tile of a logical
 	// computation whose full mode-n extent is tileClass rows; kernels pin

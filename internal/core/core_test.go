@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -17,6 +18,23 @@ func randomProblem(rng *rand.Rand, dims []int, c int) (*tensor.Dense, []mat.View
 		u[k] = mat.RandomDense(d, c, rng)
 	}
 	return x, u
+}
+
+// bitsEqual compares two matrices for bitwise float64 equality: the
+// contract under test changes nothing about the arithmetic, so agreement
+// within a tolerance is not enough.
+func bitsEqual(t *testing.T, got, want mat.View, label string) {
+	t.Helper()
+	if got.R != want.R || got.C != want.C {
+		t.Fatalf("%s: got %dx%d, want %dx%d", label, got.R, got.C, want.R, want.C)
+	}
+	for i := 0; i < want.R; i++ {
+		for j := 0; j < want.C; j++ {
+			if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+				t.Fatalf("%s: bit mismatch at (%d,%d): %v vs %v", label, i, j, got.At(i, j), want.At(i, j))
+			}
+		}
+	}
 }
 
 var testShapes = [][]int{

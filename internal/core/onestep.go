@@ -76,7 +76,6 @@ func OneStepInto(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Option
 type oneStepExtFrame struct {
 	ops      []mat.View
 	xn       mat.View
-	planK    mat.View // prebuilt full KRP (batch fusion); zero = form rows locally
 	in, c    int
 	classIn  int // GEMM size-class rows: the full mode-n extent when tiled
 	t, other int
@@ -112,21 +111,12 @@ func (f *oneStepExtFrame) runWorker(w int) {
 		if hi > hi0 {
 			hi = hi0
 		}
-		var kt mat.View
-		if f.planK.Data != nil {
-			// Batch fusion: the full KRP is prebuilt; GEMM straight
-			// against its row block. The chunk walk is kept identical to
-			// the unfused path so the accumulation order (and hence the
-			// bit pattern) matches it exactly.
-			kt = f.planK.Slice(lo, hi, 0, f.c)
-		} else {
-			kt = f.kBufs[w].Slice(0, hi-lo, 0, f.c)
-			sw := startWatch()
-			krp.RowsIter(&f.its[w], f.ops, lo, hi, kt)
-			dKRP += sw.elapsed()
-		}
-
+		kt := f.kBufs[w].Slice(0, hi-lo, 0, f.c)
 		sw := startWatch()
+		krp.RowsIter(&f.its[w], f.ops, lo, hi, kt)
+		dKRP += sw.elapsed()
+
+		sw = startWatch()
 		blas.GemmArenaClass(ar, f.classIn, 1, f.xn.Slice(0, f.in, lo, hi), kt, beta, f.mBufs[w])
 		dGEMM += sw.elapsed()
 		beta = 1
@@ -146,7 +136,6 @@ func (f *oneStepExtFrame) release() {
 	}
 	f.parts = f.parts[:0]
 	f.xn = mat.View{}
-	f.planK = mat.View{}
 	f.ws = nil
 	f.bd = nil
 }
@@ -166,34 +155,24 @@ func oneStepExternal(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Op
 	f.xn = x.Matricize(n)
 	f.in, f.c, f.t, f.other = in, c, t, other
 	f.classIn = opts.classRows(in)
-	if pl := opts.plan; pl != nil {
-		// External modes have a one-sided operand set, so the plan's
-		// partial KRP for that side is the full K.
-		f.planK, _ = pl.Lookup(f.ops)
-	}
 
 	// Per-worker private buffers come from the workspace arenas, hoisted
 	// out of the timed phases exactly as a C implementation would hoist
 	// them out of the benchmark loop. With KRPChunkRows set, each worker's
 	// KRP buffer shrinks to the chunk size (Vannieuwenhoven-style memory
-	// bounding). Worker 0 accumulates directly into dst. A plan hit needs
-	// neither KRP buffers nor iterators: workers read the plan's rows.
+	// bounding). Worker 0 accumulates directly into dst.
 	_, hi0 := parallel.BlockRange(other, t, 0)
 	chunk := opts.KRPChunkRows
 	if chunk <= 0 || chunk > hi0 {
 		chunk = hi0
 	}
 	f.chunk = chunk
-	if f.planK.Data == nil {
-		for len(f.its) < t {
-			f.its = append(f.its, krp.Iter{})
-		}
+	for len(f.its) < t {
+		f.its = append(f.its, krp.Iter{})
 	}
 	for w := 0; w < t; w++ {
 		ar := ws.Arena(w)
-		if f.planK.Data == nil {
-			f.kBufs = append(f.kBufs, arenaMat(ar, "core.1s.k", chunk, c))
-		}
+		f.kBufs = append(f.kBufs, arenaMat(ar, "core.1s.k", chunk, c))
 		mb := dst
 		if w > 0 {
 			mb = arenaMat(ar, "core.1s.m", in, c)
@@ -227,7 +206,6 @@ type oneStepIntFrame struct {
 	rightOps []mat.View
 	leftOps  []mat.View
 	kl       mat.View
-	planKR   mat.View // prebuilt right KRP (batch fusion); zero = form rows locally
 	kBufs    []mat.View
 	mBufs    []mat.View
 	rowBufs  [][]float64
@@ -253,13 +231,8 @@ func (f *oneStepIntFrame) runWorker(w, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		sw := startWatch()
 		// K_R(j, :) then the block's KRP rows K_t = K_R(j,:) ⊙ K_L.
-		var row []float64
-		if f.planKR.Data != nil {
-			row = f.planKR.ContiguousRow(j)
-		} else {
-			row = f.rowBufs[w]
-			krp.RowAtInto(f.rightOps, j, row, f.idxBufs[w])
-		}
+		row := f.rowBufs[w]
+		krp.RowAtInto(f.rightOps, j, row, f.idxBufs[w])
 		krp.HadamardExpand(row, f.kl, f.kBufs[w])
 		dKRP += sw.elapsed()
 
@@ -283,7 +256,6 @@ func (f *oneStepIntFrame) release() {
 	f.rowBufs = f.rowBufs[:0]
 	f.idxBufs = f.idxBufs[:0]
 	f.kl = mat.View{}
-	f.planKR = mat.View{}
 	f.x = nil
 	f.ws = nil
 	f.bd = nil
@@ -305,16 +277,7 @@ func oneStepInternal(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Op
 	f.classIn = opts.classRows(in)
 	f.leftOps = appendLeftOperands(f.leftOps, u, n)
 	f.rightOps = appendRightOperands(f.rightOps, u, n)
-	var planKL mat.View
-	if pl := opts.plan; pl != nil {
-		planKL, _ = pl.Lookup(f.leftOps)
-		f.planKR, _ = pl.Lookup(f.rightOps)
-	}
-	if planKL.Data != nil {
-		f.kl = planKL
-	} else {
-		f.kl = arenaMat(ws.Arena(0), "core.1s.kl", il, c)
-	}
+	f.kl = arenaMat(ws.Arena(0), "core.1s.kl", il, c)
 	clear(dst.Data[:in*c]) // worker 0 accumulates into dst with beta = 1
 	for w := 0; w < t; w++ {
 		ar := ws.Arena(w)
@@ -325,21 +288,16 @@ func oneStepInternal(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Op
 		}
 		f.mBufs = append(f.mBufs, mb)
 		f.parts = append(f.parts, mb.Data[:in*c])
-		if f.planKR.Data == nil {
-			f.rowBufs = append(f.rowBufs, ar.Float64("core.1s.row", c))
-			f.idxBufs = append(f.idxBufs, ar.Ints("core.1s.idx", len(f.rightOps)))
-		}
+		f.rowBufs = append(f.rowBufs, ar.Float64("core.1s.row", c))
+		f.idxBufs = append(f.idxBufs, ar.Ints("core.1s.idx", len(f.rightOps)))
 	}
 	f.ws = ws
 	f.bd = bd
 
 	totalW := startWatch()
-	// Left KRP, computed once in parallel (Algorithm 3, line 11) — or
-	// taken whole from the batch plan on a hit.
+	// Left KRP, computed once in parallel (Algorithm 3, line 11).
 	sw := startWatch()
-	if planKL.Data == nil {
-		krp.ParallelOn(p, ws, t, f.leftOps, f.kl)
-	}
+	krp.ParallelOn(p, ws, t, f.leftOps, f.kl)
 	bd.add(PhaseLRKRP, sw.elapsed())
 
 	f.baseKRP = bd.Get(PhaseLRKRP)

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/parallel"
+	"repro/internal/tensor"
 )
 
 // TestEveryIntoEntryPointNotifiesOnce pins the phase-hook contract the
@@ -89,5 +91,46 @@ func TestForcedOrderingsNotify(t *testing.T) {
 		if notified != 1 {
 			t.Errorf("%s: PhaseNotify invoked %d times, want exactly 1", e.name, notified)
 		}
+	}
+}
+
+// TestReconcileMidBatch pins the batch × admission interaction the
+// scheduler relies on: a lease shrinking 8→2 between two same-shape
+// requests executed back to back (applied by PhaseNotify → Reconcile at
+// the second request's kernel entry, exactly as the scheduler wires it)
+// leaves the second result bit-identical to a run at the post-shrink
+// width.
+func TestReconcileMidBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	pool := parallel.NewPool(8)
+	defer pool.Close()
+	ref := parallel.NewPool(8)
+	defer ref.Close()
+	x := tensor.Random(rng, 10, 9, 8)
+	const c, n = 6, 1
+	u := make([]mat.View, 3)
+	for k := range u {
+		u[k] = mat.RandomDense(x.Dim(k), c, rng)
+	}
+
+	for _, method := range []Method{MethodOneStep, MethodTwoStep} {
+		lease := pool.Lease(8)
+		opts := Options{Pool: lease, PhaseNotify: func() { parallel.Reconcile(lease) }}
+
+		got1 := ComputeInto(mat.NewDense(x.Dim(n), c), method, x, u, n, opts)
+		want1 := ComputeInto(mat.NewDense(x.Dim(n), c), method, x, u, n, Options{Threads: 8, Pool: ref})
+		bitsEqual(t, got1, want1, "member 1 at width 8")
+
+		// The scheduler's mid-batch rebalance: Resize lands at the next
+		// phase boundary, i.e. member 2's entry.
+		lease.Resize(2)
+		got2 := ComputeInto(mat.NewDense(x.Dim(n), c), method, x, u, n, opts)
+		if w := lease.Width(); w != 2 {
+			t.Fatalf("lease width after mid-batch shrink = %d, want 2", w)
+		}
+		want2 := ComputeInto(mat.NewDense(x.Dim(n), c), method, x, u, n, Options{Threads: 2, Pool: ref})
+		bitsEqual(t, got2, want2, "member 2 after shrink to 2")
+
+		lease.Close()
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/krp"
 	"repro/internal/mat"
 	"repro/internal/tensor"
 )
@@ -38,22 +37,11 @@ type Request struct {
 // Run executes the request, dispatching on the tensor's layout, and
 // returns the result matrix (Dst when one was supplied).
 func Run(r Request) mat.View {
-	return RunWithPlan(r, nil)
-}
-
-// RunWithPlan is Run with an optional prebuilt shared Khatri-Rao plan
-// (batch fusion). Only the dense kernels consume plans; a sparse request
-// ignores the plan and computes directly — the sparse kernel has no KRP
-// intermediate to share.
-func RunWithPlan(r Request, plan *krp.Plan) mat.View {
 	dst := r.Dst
 	switch x := r.X.(type) {
 	case *tensor.Dense:
 		if dst.Data == nil {
 			dst = mat.NewDense(x.Dim(r.Mode), rank(r.Factors))
-		}
-		if plan != nil {
-			return ComputeIntoWithPlan(dst, r.Method, x, r.Factors, r.Mode, r.Opts, plan)
 		}
 		return ComputeInto(dst, r.Method, x, r.Factors, r.Mode, r.Opts)
 	case *tensor.Sparse:

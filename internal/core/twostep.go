@@ -101,24 +101,13 @@ func newTwoStepFrame() any {
 	return f
 }
 
-// planOrCompute resolves the 2-step algorithm's two partial KRPs: each
-// side comes from the batch plan when its operand list matches (batch
-// fusion skips the whole PhaseLRKRP) and is computed into arena scratch
-// otherwise. Mixed hits are fine — a plan can make a side cheaper, never
-// wrong.
-func planOrCompute(opts Options, p parallel.Executor, ws *parallel.Workspace, t int, ar *parallel.Arena, klOps, krOps []mat.View, il, ir, c int) (kl, kr mat.View) {
-	if pl := opts.plan; pl != nil {
-		kl, _ = pl.Lookup(klOps)
-		kr, _ = pl.Lookup(krOps)
-	}
-	if kl.Data == nil {
-		kl = arenaMat(ar, "core.2s.kl", il, c)
-		krp.ParallelOn(p, ws, t, klOps, kl)
-	}
-	if kr.Data == nil {
-		kr = arenaMat(ar, "core.2s.kr", ir, c)
-		krp.ParallelOn(p, ws, t, krOps, kr)
-	}
+// partialKRPs forms the 2-step algorithm's left and right partial KRPs
+// into arena scratch.
+func partialKRPs(p parallel.Executor, ws *parallel.Workspace, t int, ar *parallel.Arena, klOps, krOps []mat.View, il, ir, c int) (kl, kr mat.View) {
+	kl = arenaMat(ar, "core.2s.kl", il, c)
+	krp.ParallelOn(p, ws, t, klOps, kl)
+	kr = arenaMat(ar, "core.2s.kr", ir, c)
+	krp.ParallelOn(p, ws, t, krOps, kr)
 	return kl, kr
 }
 
@@ -153,7 +142,7 @@ func twoStepRightFirst(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts 
 	sw := startWatch()
 	f.klOps = appendLeftOperands(f.klOps, u, n)
 	f.krOps = appendRightOperands(f.krOps, u, n)
-	kl, kr := planOrCompute(opts, p, ws, t, ar, f.klOps, f.krOps, il, ir, c)
+	kl, kr := partialKRPs(p, ws, t, ar, f.klOps, f.krOps, il, ir, c)
 	bd.add(PhaseLRKRP, sw.elapsed())
 
 	// Step 1: partial MTTKRP — a single (logical) BLAS call on the
@@ -198,7 +187,7 @@ func twoStepLeftFirst(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts O
 	sw := startWatch()
 	f.klOps = appendLeftOperands(f.klOps, u, n)
 	f.krOps = appendRightOperands(f.krOps, u, n)
-	kl, kr := planOrCompute(opts, p, ws, t, ar, f.klOps, f.krOps, il, ir, c)
+	kl, kr := partialKRPs(p, ws, t, ar, f.klOps, f.krOps, il, ir, c)
 	bd.add(PhaseLRKRP, sw.elapsed())
 
 	// Step 1: X_(0:n-1) is column-major I^L_n × (I_n⋯I_{N-1}); its

@@ -206,8 +206,8 @@ func HadamardExpand(row []float64, kl mat.View, out mat.View) {
 	}
 	if kl.IsRowMajor() && out.IsRowMajor() {
 		// Contiguous operands (the kernel-worker case: arena-backed K
-		// blocks and plan row blocks): one flat call, so the row loop
-		// and its per-row dispatch overhead live inside the kernel.
+		// blocks): one flat call, so the row loop and its per-row
+		// dispatch overhead live inside the kernel.
 		simd.HadExpand(row, kl.Data[:kl.R*kl.C], out.Data[:out.R*out.C])
 		return
 	}

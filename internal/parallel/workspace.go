@@ -14,7 +14,6 @@ type Workspace struct {
 	pool   *Pool
 	key    string // free list this workspace returns to ("" = general)
 	arenas []*Arena
-	plan   *Arena // dedicated slot for batch-scoped shared state (PlanArena)
 	frames map[string]any
 }
 
@@ -86,20 +85,6 @@ func (ws *Workspace) Arena(w int) *Arena {
 		ws.arenas = append(ws.arenas, &Arena{})
 	}
 	return ws.arenas[w]
-}
-
-// PlanArena returns the workspace's dedicated plan arena: a scratch slot
-// for batch-scoped shared state — the serving layer's fused KRP plans —
-// that must stay live across several kernel invocations on the same
-// workspace. It is distinct from every worker arena, so nothing a kernel
-// leases per-dispatch can alias it; like the worker arenas, its buffers
-// grow monotonically and are reused, so a shape-keyed workspace serves a
-// steady stream of same-shape batches with zero allocations.
-func (ws *Workspace) PlanArena() *Arena {
-	if ws.plan == nil {
-		ws.plan = &Arena{}
-	}
-	return ws.plan
 }
 
 // Frame returns the cached kernel state registered under key, building it

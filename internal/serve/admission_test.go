@@ -2,10 +2,13 @@ package serve
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cpd"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -277,12 +280,30 @@ func TestCostModel(t *testing.T) {
 	if small <= 0 || large <= small {
 		t.Fatalf("MTTKRP costs small=%g large=%g, want 0 < small < large", small, large)
 	}
-	cp := m.CP([]int{12, 10, 8}, 4, 10)
+	cp := m.CP([]int{12, 10, 8}, 4, 10, core.MethodAuto)
 	if cp <= small {
-		t.Fatalf("CP cost %g not above one MTTKRP %g (10 sweeps × 3 modes)", cp, small)
+		t.Fatalf("CP cost %g not above one MTTKRP %g (10 sweeps × 2 passes)", cp, small)
 	}
-	if m.CP([]int{12, 10, 8}, 4, 0) != m.CP([]int{12, 10, 8}, 4, 50) {
+	if m.CP([]int{12, 10, 8}, 4, 0, core.MethodAuto) != m.CP([]int{12, 10, 8}, 4, 50, core.MethodAuto) {
 		t.Fatal("CP sweeps=0 must price the cpd default sweep budget (50)")
+	}
+
+	// A dense CP sweep under MethodAuto is two tensor passes (core.SweepAll)
+	// whatever the order; an explicit method runs one MTTKRP per mode.
+	for _, dims := range [][]int{{12, 10, 8}, {12, 10, 8, 6}} {
+		one := m.MTTKRP(dims, 4)
+		if got, want := m.CP(dims, 4, 10, core.MethodAuto), 10*2*one; got != want {
+			t.Fatalf("dense auto CP %v = %g, want %g (2 passes per sweep)", dims, got, want)
+		}
+		if got, want := m.CP(dims, 4, 10, core.MethodTwoStep), 10*float64(len(dims))*one; got != want {
+			t.Fatalf("dense 2-step CP %v = %g, want %g (one MTTKRP per mode per sweep)", dims, got, want)
+		}
+	}
+	if got := cpPasses(4, false, core.MethodAuto); got != 4 {
+		t.Fatalf("sparse CP passes = %d, want one per mode (4)", got)
+	}
+	if got := cpPasses(2, true, core.MethodAuto); got != 2 {
+		t.Fatalf("order-2 dense auto CP passes = %d, want 2", got)
 	}
 	if got := costOf(7, 99); got != 7 {
 		t.Fatalf("costOf hint override = %g, want 7", got)
@@ -312,11 +333,13 @@ func TestCostModel(t *testing.T) {
 	}
 }
 
-// TestAdmissionSparseCPPricedByNNZ pins CP admission pricing by layout:
-// a sparse decomposition costs sweeps × order nnz-keyed MTTKRPs, not the
-// dense Π dims model of its shape (at density 1e-3 that model overprices
-// it by two orders of magnitude, handing it the full width and aging it
-// as a huge job), while a dense decomposition keeps the CP model exactly.
+// TestAdmissionSparseCPPricedByNNZ pins CP admission pricing by layout
+// and method: a sparse decomposition costs sweeps × order nnz-keyed
+// MTTKRPs, not the dense Π dims model of its shape (at density 1e-3 that
+// model overprices it by two orders of magnitude, handing it the full
+// width and aging it as a huge job), while a dense decomposition keeps the
+// CP model exactly — two passes per sweep under the default method, one
+// MTTKRP per mode under an explicit one.
 func TestAdmissionSparseCPPricedByNNZ(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 1})
 	defer s.Close()
@@ -327,8 +350,12 @@ func TestAdmissionSparseCPPricedByNNZ(t *testing.T) {
 	dn := tensor.Random(rng, 12, 10, 8)
 	const rank, sweeps = 8, 10
 	sparseWant := float64(sweeps) * 3 * m.SparseMTTKRP(sp.NNZ(), sp.Dims(), rank)
-	denseWant := m.CP(dn.Dims(), rank, sweeps)
-	if dense := m.CP(sp.Dims(), rank, sweeps); sparseWant*100 > dense {
+	denseWant := m.CP(dn.Dims(), rank, sweeps, core.MethodAuto)
+	explicitWant := m.CP(dn.Dims(), rank, sweeps, core.MethodTwoStep)
+	if explicitWant != 1.5*denseWant {
+		t.Fatalf("3-way explicit-method CP %g, want 1.5× the two-pass dense auto CP %g", explicitWant, denseWant)
+	}
+	if dense := m.CP(sp.Dims(), rank, sweeps, core.MethodTwoStep); sparseWant*100 > dense {
 		t.Fatalf("nnz model %g not two orders under the dense model %g; the fixture no longer tells them apart", sparseWant, dense)
 	}
 
@@ -342,6 +369,9 @@ func TestAdmissionSparseCPPricedByNNZ(t *testing.T) {
 	cfg := cpd.Config{Rank: rank, MaxIters: sweeps, Tol: -1, Seed: 1}
 	tSparse := s.SubmitCP(CPRequest{X: sp, Config: cfg})
 	tDense := s.SubmitCP(CPRequest{X: dn, Config: cfg})
+	explicitCfg := cfg
+	explicitCfg.Method = core.MethodTwoStep
+	tExplicit := s.SubmitCP(CPRequest{X: dn, Config: explicitCfg})
 
 	var costs []float64
 	for _, r := range s.Stats().Requests {
@@ -353,23 +383,16 @@ func TestAdmissionSparseCPPricedByNNZ(t *testing.T) {
 	if err := blocker.Err(); err != nil {
 		t.Fatal(err)
 	}
-	for _, tk := range []*Ticket{tSparse, tDense} {
+	for _, tk := range []*Ticket{tSparse, tDense, tExplicit} {
 		if _, err := tk.CP(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(costs) != 2 {
-		t.Fatalf("saw %d queued CP requests, want 2", len(costs))
-	}
-	if costs[0] > costs[1] {
-		costs[0], costs[1] = costs[1], costs[0]
-	}
-	want := []float64{sparseWant, denseWant}
-	if want[0] > want[1] {
-		want[0], want[1] = want[1], want[0]
-	}
-	if costs[0] != want[0] || costs[1] != want[1] {
-		t.Fatalf("queued CP costs %v, want sparse %g (nnz model) and dense %g (CP model)", costs, sparseWant, denseWant)
+	want := []float64{sparseWant, denseWant, explicitWant}
+	sort.Float64s(costs)
+	sort.Float64s(want)
+	if !slices.Equal(costs, want) {
+		t.Fatalf("queued CP costs %v, want sparse %g (nnz model), dense auto %g and dense 2-step %g (CP model)", costs, sparseWant, denseWant, explicitWant)
 	}
 }
 

@@ -172,81 +172,3 @@ func BenchmarkServeVsNaivePools(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkFusedBatch is the batch-level KRP fusion acceptance metric,
-// recorded in the CI bench artifact: each op admits one batch of 8
-// coalesced same-factor MTTKRP requests (piled up behind a blocker, the
-// deterministic way to form a batch) and waits for all of them. The
-// fused/unfused sub-benchmarks differ only in Config.DisableFusion; the
-// req-ms metric is the per-request latency inside the batch and
-// fused-hit-rate is the fraction of MTTKRP batches that executed on a
-// shared KRP plan (1 when fusion is on, 0 off). The "mid" shape is the
-// serving default at its external mode (the ALS inner-loop case the
-// batcher coalesces; KRP ≈ 1/(2·I_n) of the flops); "krp-heavy" is an
-// order-5 cube where the scalar KRP iterator is a large share of the
-// runtime and fusion pays the most.
-func BenchmarkFusedBatch(b *testing.B) {
-	const members = 8
-	for _, shape := range []struct {
-		name string
-		dims []int
-		rank int
-		mode int
-	}{
-		{"mid", []int{48, 40, 36}, 16, 0},
-		{"krp-heavy", []int{8, 8, 8, 8, 8}, 32, 0},
-	} {
-		x, u := problem(42, shape.rank, shape.dims...)
-		for _, policy := range []struct {
-			name   string
-			nofuse bool
-		}{{"fused", false}, {"unfused", true}} {
-			b.Run(shape.name+"/"+policy.name, func(b *testing.B) {
-				s := New(Config{Workers: 4, MaxActive: 1, DisableFusion: policy.nofuse})
-				defer s.Close()
-				dsts := make([]mat.View, members)
-				for i := range dsts {
-					dsts[i] = mat.NewDense(x.Dim(shape.mode), shape.rank)
-				}
-				// Warm the shape-keyed workspaces and the plan arena.
-				if err := s.SubmitMTTKRP(MTTKRPRequest{X: x, Factors: u, Mode: shape.mode, Dst: dsts[0]}).Err(); err != nil {
-					b.Fatal(err)
-				}
-				var reqNs int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					release := make(chan struct{})
-					started := make(chan struct{})
-					blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
-						close(started)
-						<-release
-					})
-					<-started
-					tickets := make([]*Ticket, members)
-					for j := range tickets {
-						tickets[j] = s.SubmitMTTKRP(MTTKRPRequest{X: x, Factors: u, Mode: shape.mode, Dst: dsts[j]})
-					}
-					t0 := time.Now()
-					close(release)
-					if err := blocker.Err(); err != nil {
-						b.Fatal(err)
-					}
-					for _, tk := range tickets {
-						if err := tk.Err(); err != nil {
-							b.Fatal(err)
-						}
-					}
-					reqNs += time.Since(t0).Nanoseconds()
-				}
-				b.StopTimer()
-				st := s.Stats()
-				mttkrpBatches := st.Batches - b.N - 1 // minus blockers and warmup
-				if mttkrpBatches < 1 {
-					mttkrpBatches = 1
-				}
-				b.ReportMetric(float64(st.Fused)/float64(mttkrpBatches), "fused-hit-rate")
-				b.ReportMetric(float64(reqNs)/1e6/float64(b.N*members), "req-ms")
-			})
-		}
-	}
-}

@@ -145,19 +145,30 @@ func (m CostModel) MTTKRPFor(x costTensor, rank int) float64 {
 	return m.MTTKRP(x.Dims(), rank)
 }
 
-// CP estimates a dense CP-ALS run over a dims-shaped tensor: sweeps
-// sweeps of one MTTKRP per mode. sweeps <= 0 selects the cpd default
-// sweep budget.
-func (m CostModel) CP(dims []int, rank, sweeps int) float64 {
-	return cpCost(m.MTTKRP(dims, rank), len(dims), sweeps)
+// CP estimates a dense CP-ALS run over a dims-shaped tensor with the
+// given MTTKRP method: sweeps sweeps of cpPasses tensor passes each.
+// sweeps <= 0 selects the cpd default sweep budget.
+func (m CostModel) CP(dims []int, rank, sweeps int, method core.Method) float64 {
+	return cpCost(m.MTTKRP(dims, rank), cpPasses(len(dims), true, method), sweeps)
 }
 
-// cpCost scales one MTTKRP's cost to sweeps sweeps over order modes.
-func cpCost(mttkrp float64, order, sweeps int) float64 {
+// cpPasses is the number of MTTKRP-sized tensor passes one CP-ALS sweep
+// makes: two for a dense tensor under MethodAuto (cpd runs core.SweepAll,
+// which contracts each half of the modes once), one per mode otherwise
+// (sparse tensors and explicit methods run the per-mode loop).
+func cpPasses(order int, dense bool, method core.Method) int {
+	if dense && method == core.MethodAuto && order > 2 {
+		return 2
+	}
+	return order
+}
+
+// cpCost scales one MTTKRP's cost to sweeps sweeps of passes passes.
+func cpCost(mttkrp float64, passes, sweeps int) float64 {
 	if sweeps <= 0 {
 		sweeps = cpd.DefaultMaxIters
 	}
-	return float64(sweeps) * float64(order) * mttkrp
+	return float64(sweeps) * float64(passes) * mttkrp
 }
 
 // costOf resolves a request's admission cost: an explicit positive hint

@@ -2,13 +2,11 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cpd"
-	"repro/internal/krp"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -39,18 +37,6 @@ type Config struct {
 	// continuous arrivals. It also bounds the batch's non-preemptible
 	// back-to-back service time on one lease. 0 selects 32.
 	MaxBatch int
-	// DisableFusion turns off batch-level KRP fusion: coalesced batches
-	// run back-to-back recomputing their Khatri-Rao intermediates per
-	// member (the pre-fusion behavior, kept as the measured baseline).
-	// With fusion on (the default), every MTTKRP request carries a value
-	// fingerprint of the non-target factor set; batches still coalesce
-	// by shape alone (the lease/workspace amortization win is
-	// factor-independent), and the batch executor builds a shared KRP
-	// plan when at least two members fingerprint alike — only genuinely
-	// fusable members consume it (per-member value matching), the rest
-	// compute their own KRP exactly as before.
-	DisableFusion bool
-
 	// Cost selects the request cost model for cost-aware admission; the
 	// zero value is the default model (see CostModel).
 	Cost CostModel
@@ -84,22 +70,10 @@ type Stats struct {
 	// Batches counts executed batches; Coalesced counts requests that
 	// joined an existing same-shape batch instead of opening their own.
 	Batches, Coalesced int
-	// Fused counts batches that executed on a shared KRP plan (the
-	// Khatri-Rao intermediate computed once and consumed by the members
-	// whose factor set matches it); FusedSavedFlops prices the Hadamard
-	// flops those batches avoided — (plan rows served − one fill) × rank,
-	// from the plan's own hit counters, so partially-matching batches
-	// are priced by what the plan actually served. FusedFallbacks counts
-	// fusable batches whose plan build failed and fell back to the
-	// unfused member loop (a persistent rise means a shape class the
-	// plan cannot serve — observable degradation, not an error).
-	Fused           int
-	FusedSavedFlops float64
-	FusedFallbacks  int
-	// PlanCacheHits counts batches served by a KRP plan retained from an
-	// earlier batch (same shape key, value-matching factor set): the plan
-	// crossed a batch boundary, so the batch skipped its fill entirely.
-	PlanCacheHits int
+	// Fused and PlanCacheHits are always 0: batch-level KRP fusion was
+	// removed. They stay only until the benchmark's serve.fused_ratio and
+	// serve.plan_cache_hit_ratio metrics, which read them, are dropped.
+	Fused, PlanCacheHits int
 	// Active and Queued describe the instant of the snapshot; PeakActive
 	// and PeakQueued are the high-water marks of concurrently executing
 	// batches and of the admission queue depth.
@@ -155,7 +129,6 @@ type Server struct {
 	maxActive  int
 	maxBatch   int
 	batching   bool
-	fusion     bool
 	evenSplit  bool
 	cost       CostModel
 	shareCap   int           // precomputed MaxShare · width, clamped to [minWorkers, width]
@@ -165,9 +138,7 @@ type Server struct {
 	open     map[string]*batch // same-shape batches still accepting joiners
 	queue    []*batch          // admission queue (aging-scored; FIFO under EvenSplit)
 	active   map[*batch]*grant
-	planFP   map[string]uint64 // shape key → factor fingerprint of its last batch (plan LRU)
-	planAge  []string          // planFP keys in recency order, oldest first
-	rate     float64           // EMA of served cost per second per request (ProjectedWait)
+	rate     float64 // EMA of served cost per second per request (ProjectedWait)
 	stats    Stats
 	draining bool
 	closed   bool
@@ -200,16 +171,12 @@ type grant struct {
 	started time.Time
 }
 
-// item is one submitted request plus its completion ticket. fp is the
-// value fingerprint of the MTTKRP request's non-target factor set (0 =
-// unfusable method or unwalkable factors): the batch executor builds a
-// shared KRP plan when at least two members fingerprint alike.
+// item is one submitted request plus its completion ticket.
 type item struct {
 	mt *MTTKRPRequest
 	cp *CPRequest
 	fn func(parallel.Executor) // test/instrumentation hook requests
 	tk *Ticket
-	fp uint64
 }
 
 // New creates a serving runtime with its own worker pool.
@@ -255,14 +222,12 @@ func New(cfg Config) *Server {
 		maxActive:  maxActive,
 		maxBatch:   maxBatch,
 		batching:   !cfg.DisableBatching,
-		fusion:     !cfg.DisableBatching && !cfg.DisableFusion,
 		evenSplit:  cfg.EvenSplit,
 		cost:       cfg.Cost,
 		shareCap:   shareCap,
 		ageBias:    ageBias,
 		open:       make(map[string]*batch),
 		active:     make(map[*batch]*grant),
-		planFP:     make(map[string]uint64),
 		drained:    make(chan struct{}),
 	}
 }
@@ -318,20 +283,6 @@ func (s *Server) SubmitMTTKRP(req MTTKRPRequest) *Ticket {
 	}
 	it := &item{mt: &req, tk: newTicket()}
 	cost := costOf(req.CostHint, s.cost.MTTKRPFor(req.X, req.Factors[0].C))
-	if _, dense := req.X.(*tensor.Dense); dense && s.fusion && core.PlanFusable(req.Method) {
-		// Fingerprint the factors the mode-n KRP is built from, by
-		// value. Batches coalesce by shape alone (amortizing lease and
-		// workspace across any same-shape traffic, factors regardless);
-		// the fingerprint decides at execution which members can share
-		// one KRP plan, so only genuinely fusable requests coalesce
-		// into a fused plan while the rest of the batch runs unfused.
-		// Sparse requests never fingerprint — the sparse kernel has no
-		// KRP intermediate to share (fp stays 0, so fuseSeed skips them
-		// and runFused's dense assertion below always holds).
-		if fp, ok := fuseFingerprint(&req); ok {
-			it.fp = fp
-		}
-	}
 	s.enqueue(shapeKey(req), "mttkrp", it, cost, weightOf(req.Weight))
 	return it.tk
 }
@@ -344,10 +295,13 @@ func (s *Server) SubmitCP(req CPRequest) *Ticket {
 		return failedTicket(fmt.Errorf("serve: nil tensor"))
 	}
 	it := &item{cp: &req, tk: newTicket()}
-	// Each sweep runs one MTTKRP per mode, priced by layout (MTTKRPFor):
-	// a sparse decomposition costs its nnz, a dense one exactly CostModel.CP.
+	// Each sweep costs cpPasses tensor passes, each priced by layout
+	// (MTTKRPFor): a sparse decomposition costs its nnz, a dense one
+	// exactly CostModel.CP.
+	_, dense := req.X.(*tensor.Dense)
 	perMTTKRP := s.cost.MTTKRPFor(req.X, req.Config.Rank)
-	cost := costOf(req.CostHint, cpCost(perMTTKRP, len(req.X.Dims()), req.Config.MaxIters))
+	passes := cpPasses(len(req.X.Dims()), dense, req.Config.Method)
+	cost := costOf(req.CostHint, cpCost(perMTTKRP, passes, req.Config.MaxIters))
 	s.enqueue("", "cp", it, cost, weightOf(req.Weight))
 	return it.tk
 }
@@ -585,208 +539,35 @@ func (s *Server) ProjectedWait(cost float64) time.Duration {
 	return time.Duration(ahead / (s.rate * float64(slots)) * float64(time.Second))
 }
 
-// run executes one batch on its lease, then returns the lease and admits
-// more work. A multi-member MTTKRP batch in which at least two members
-// fingerprint alike executes fused: the shared KRP plan is built once
-// under the lease before the member loop, matching members consume it
-// read-only, and the rest compute their own KRP exactly as unfused.
+// run executes one batch on its lease, member by member, then returns
+// the lease and admits more work. Each member is counted in Stats before
+// its ticket resolves, so a caller that has seen every ticket finish reads
+// Completed == Submitted.
 func (s *Server) run(b *batch, g *grant) {
 	defer s.wg.Done()
 	lease := g.lease
 	if b.key != "" {
 		lease.SetWorkspaceKey("serve:" + b.key)
 	}
-	var fusedSaved float64
-	fused, fellBack, cacheHit := false, false, false
-	seed := fuseSeed(b)
-	if seed == nil {
-		// No two members fingerprint alike, but the plan LRU may remember
-		// this shape from a previous batch: a member matching the retained
-		// fingerprint seeds the fused path, so consecutive same-shape
-		// batches fuse across batch boundaries.
-		seed = s.cachedSeed(b)
-	}
-	if seed != nil {
-		fusedSaved, cacheHit, fused = s.runFused(b, lease, seed)
-		fellBack = !fused
-	}
-	if !fused {
-		for _, it := range b.items {
-			it.execute(lease, nil)
+	for _, it := range b.items {
+		it.execute(lease)
+		s.mu.Lock()
+		s.stats.Completed++
+		if it.tk.err != nil {
+			s.stats.Failed++
 		}
+		s.mu.Unlock()
+		close(it.tk.done)
 	}
 	dur := time.Since(g.started)
 	lease.Close()
 	s.mu.Lock()
 	delete(s.active, b)
 	s.observeRateLocked(b.totalCost(), dur)
-	if fused {
-		s.stats.Fused++
-		s.stats.FusedSavedFlops += fusedSaved
-		if cacheHit {
-			s.stats.PlanCacheHits++
-		}
-	}
-	if fellBack {
-		s.stats.FusedFallbacks++
-	}
-	if b.kind == "mttkrp" && b.key != "" && s.fusion {
-		if fp := batchFP(b, seed); fp != 0 {
-			s.recordPlanLocked(b.key, fp)
-		}
-	}
-	for _, it := range b.items {
-		s.stats.Completed++
-		if it.tk.err != nil {
-			s.stats.Failed++
-		}
-	}
 	s.rebalanceLocked()
 	s.scheduleLocked()
 	s.maybeDrainedLocked()
 	s.mu.Unlock()
-}
-
-// fuseSeed picks the member whose factor set seeds the batch's shared KRP
-// plan: the first member whose fingerprint at least one other member
-// shares. nil means no plan is worth building (singleton batch, unfusable
-// methods, or all-distinct factor sets — each member then computes its
-// own KRP, the pre-fusion behavior).
-func fuseSeed(b *batch) *item {
-	if b.kind != "mttkrp" || len(b.items) < 2 {
-		return nil
-	}
-	for i, it := range b.items {
-		if it.fp == 0 {
-			continue
-		}
-		for _, other := range b.items[i+1:] {
-			if other.fp == it.fp {
-				return it
-			}
-		}
-	}
-	return nil
-}
-
-// planLRUCap bounds the plan-fingerprint LRU: how many shape keys the
-// scheduler remembers recent factor fingerprints for. It matches the
-// pool's keyed-workspace cap, since a fingerprint is only useful while
-// the workspace (and the detached plan inside it) for its shape survives.
-const planLRUCap = 32
-
-// batchFP picks the fingerprint run() records for a batch in the plan
-// LRU: the seed's when the batch fused, else the first fingerprintable
-// member's — the candidate the next same-shape batch would fuse with.
-func batchFP(b *batch, seed *item) uint64 {
-	if seed != nil {
-		return seed.fp
-	}
-	for _, it := range b.items {
-		if it.fp != 0 {
-			return it.fp
-		}
-	}
-	return 0
-}
-
-// cachedSeed returns a member whose fingerprint matches the plan LRU's
-// entry for the batch's shape key, if any — the trigger for cross-batch
-// fusion. nil when the shape is not remembered or no member matches.
-func (s *Server) cachedSeed(b *batch) *item {
-	if b.kind != "mttkrp" || b.key == "" || !s.fusion {
-		return nil
-	}
-	s.mu.Lock()
-	fp, ok := s.planFP[b.key]
-	s.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	for _, it := range b.items {
-		if it.fp == fp {
-			return it
-		}
-	}
-	return nil
-}
-
-// recordPlanLocked remembers key's most recent factor fingerprint,
-// evicting the least-recently-recorded shape at capacity. Callers hold
-// s.mu. Eviction needs no cleanup: the detached plan lives in the shape's
-// keyed workspace and is simply refilled if the shape returns.
-func (s *Server) recordPlanLocked(key string, fp uint64) {
-	if _, ok := s.planFP[key]; ok {
-		s.planFP[key] = fp
-		for i, k := range s.planAge {
-			if k == key {
-				s.planAge = append(append(s.planAge[:i], s.planAge[i+1:]...), key)
-				break
-			}
-		}
-		return
-	}
-	if len(s.planAge) >= planLRUCap {
-		delete(s.planFP, s.planAge[0])
-		s.planAge = s.planAge[1:]
-	}
-	s.planFP[key] = fp
-	s.planAge = append(s.planAge, key)
-}
-
-// newFusedPlanFrame builds the workspace-cached shared-KRP plan, so a
-// steady stream of same-shape fused batches refills one plan object with
-// arena-backed storage and allocates nothing.
-func newFusedPlanFrame() any { return new(krp.Plan) }
-
-// runFused executes a batch on a shared KRP plan seeded from one member's
-// factor set: fill once under the batch's lease (or skip the fill when
-// the plan retained by the shape-keyed workspace from a previous batch
-// already covers the seed's factors — the cross-batch cache hit), then
-// run every member against it — matching members hit, the rest miss and
-// compute locally. The saving is priced from the plan's own counters
-// (rows served minus the one formation the fill paid; a cache hit pays
-// no fill), so partially-matching batches are priced by what the plan
-// actually served. The plan workspace is held for the whole batch
-// (member kernels acquire their own from the same shape-keyed list), and
-// the plan is detached — not reset — before release: its original caller
-// views are cleared so no request factor memory is retained, while the
-// filled KRPs and value snapshots (plan-arena-owned) survive to serve
-// the next same-shape batch. Any panic while building the plan —
-// malformed factors surface in krp/core validation — falls back to the
-// unfused member loop (counted as FusedFallbacks), where the same panic
-// is recovered into the offending tickets; no member has executed yet
-// when Fill can panic.
-func (s *Server) runFused(b *batch, lease *parallel.Lease, seed *item) (saved float64, cacheHit, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			saved, cacheHit, ok = 0, false, false
-		}
-	}()
-	req := seed.mt
-	// Only dense requests carry a fingerprint (fusion is dense-only), so
-	// the seed's tensor is necessarily dense.
-	xd := req.X.(*tensor.Dense)
-	ws := lease.Acquire()
-	defer ws.Release()
-	plan := ws.Frame("serve.fusedplan", newFusedPlanFrame).(*krp.Plan)
-	defer plan.Detach()
-	served0 := plan.ServedRows()
-	fillPaid := int64(0)
-	if core.PlanCovers(plan, ws, xd, req.Factors, req.Mode) {
-		cacheHit = true
-	} else {
-		core.FillPlan(plan, lease, ws, 0, xd, req.Factors, req.Mode)
-		fillPaid = int64(plan.FilledRows())
-	}
-	for _, it := range b.items {
-		it.execute(lease, plan)
-	}
-	savedRows := plan.ServedRows() - served0 - fillPaid
-	if savedRows > 0 {
-		saved = float64(savedRows) * float64(req.Factors[0].C)
-	}
-	return saved, cacheHit, true
 }
 
 // observeRateLocked folds one completed batch into the served-cost-rate
@@ -832,27 +613,23 @@ func (s *Server) Drain() {
 }
 
 // execute runs one request on the granted executor, recovering kernel
-// panics (shape mismatches and the like) into the ticket. Kernel phase
-// boundaries reconcile the executor, so a budget change issued by the
-// scheduler mid-request lands at the next safe point. A non-nil plan is
-// the batch's shared KRP intermediate: MTTKRP members consume it
-// read-only (falling back per-side on a mismatch), other kinds ignore it.
-func (it *item) execute(ex parallel.Executor, plan *krp.Plan) {
+// panics (shape mismatches and the like) into the ticket's error; the
+// caller resolves the ticket. Kernel phase boundaries reconcile the
+// executor, so a budget change issued by the scheduler mid-request lands
+// at the next safe point.
+func (it *item) execute(ex parallel.Executor) {
 	tk := it.tk
 	defer func() {
 		if r := recover(); r != nil {
 			tk.err = fmt.Errorf("serve: request failed: %v", r)
 		}
-		close(tk.done)
 	}()
 	switch {
 	case it.mt != nil:
 		// Threads = 0 resolves to the lease's granted budget; PhaseNotify
-		// applies pending budget changes at each computation boundary —
-		// also between fused batch members, so a mid-batch Reconcile
-		// lands exactly as it would on the unfused path. RunWithPlan
-		// dispatches on the tensor's layout; a sparse member ignores the
-		// plan (it has no KRP intermediate).
+		// applies pending budget changes at each computation boundary,
+		// including between batch members. Run dispatches on the tensor's
+		// layout.
 		cr := it.mt.Core()
 		cr.Opts = core.Options{
 			Pool:        ex,
@@ -865,7 +642,7 @@ func (it *item) execute(ex parallel.Executor, plan *krp.Plan) {
 			// untiled kernel; see core's tiled drivers).
 			cr.Opts.TileRows = core.AutoTileRows(xd.Dims(), cr.Mode, 0)
 		}
-		tk.m = core.RunWithPlan(cr, plan)
+		tk.m = core.Run(cr)
 	case it.cp != nil:
 		cfg := it.cp.Config
 		cfg.Pool = ex
@@ -928,40 +705,4 @@ func shapeKey(r MTTKRPRequest) string {
 		key = fmt.Appendf(key, "|coo%d", r.X.NNZ())
 	}
 	return string(key)
-}
-
-// fuseFingerprint hashes the factor set an MTTKRP's shared KRP is built
-// from — every factor except the target mode's, which is not a KRP
-// operand — by value (FNV-1a over dimensions and element bits), so
-// requests carrying identical factors fuse even when each decoded its
-// payload into a different buffer (the network path). A collision merely
-// coalesces unfusable requests into one batch; the plan's own value
-// comparison then misses and each member computes its KRP locally, so a
-// collision costs a shared queue slot, never correctness. Requests whose
-// factor views the fingerprint cannot walk (non-unit column stride,
-// malformed geometry) report ok = false and stay on the plain shape key.
-func fuseFingerprint(r *MTTKRPRequest) (fp uint64, ok bool) {
-	defer func() {
-		if recover() != nil {
-			fp, ok = 0, false
-		}
-	}()
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for k, f := range r.Factors {
-		if k == r.Mode {
-			continue
-		}
-		if f.CS != 1 {
-			return 0, false
-		}
-		h = (h ^ uint64(f.R)) * prime64
-		h = (h ^ uint64(f.C)) * prime64
-		for i := 0; i < f.R; i++ {
-			for _, x := range f.ContiguousRow(i) {
-				h = (h ^ math.Float64bits(x)) * prime64
-			}
-		}
-	}
-	return h, true
 }

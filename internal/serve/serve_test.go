@@ -2,9 +2,11 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/cpd"
@@ -34,6 +36,21 @@ func matsEqual(t *testing.T, got, want mat.View, label string) {
 			d := got.At(i, j) - want.At(i, j)
 			if d > 1e-10 || d < -1e-10 {
 				t.Fatalf("%s: mismatch at (%d,%d): %g vs %g", label, i, j, got.At(i, j), want.At(i, j))
+			}
+		}
+	}
+}
+
+// bitsEqual compares two matrices for bitwise float64 equality.
+func bitsEqual(t *testing.T, got, want mat.View, label string) {
+	t.Helper()
+	if got.R != want.R || got.C != want.C {
+		t.Fatalf("%s: got %dx%d, want %dx%d", label, got.R, got.C, want.R, want.C)
+	}
+	for i := 0; i < want.R; i++ {
+		for j := 0; j < want.C; j++ {
+			if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+				t.Fatalf("%s: bit mismatch at (%d,%d): %v vs %v", label, i, j, got.At(i, j), want.At(i, j))
 			}
 		}
 	}
@@ -129,6 +146,66 @@ func TestServeBatchingCoalesces(t *testing.T) {
 	}
 	if st.PeakActive != 1 {
 		t.Fatalf("peak active %d, want 1", st.PeakActive)
+	}
+}
+
+// TestServeBatchMembersIndependent pins what a coalesced batch guarantees
+// each member: same-shape requests coalesce whatever their factor values
+// or buffers, every member's result is bit-identical to the direct kernel
+// at the batch's width, and a member whose factors fail kernel validation
+// fails only its own ticket.
+func TestServeBatchMembersIndependent(t *testing.T) {
+	const width = 4
+	x, u1 := problem(24, 5, 12, 10, 8)
+	_, u2 := problem(25, 5, 12, 10, 8) // same shape, different values
+	bad := []mat.View{mat.NewDense(3, 5), mat.NewDense(3, 5), mat.NewDense(3, 5)}
+	clone := func(u []mat.View) []mat.View {
+		c := make([]mat.View, len(u))
+		for i := range u {
+			c[i] = u[i].Clone() // fresh buffers, identical values
+		}
+		return c
+	}
+	pool := parallel.NewPool(width)
+	defer pool.Close()
+
+	for _, method := range []core.Method{core.MethodOneStep, core.MethodTwoStep} {
+		s := New(Config{Workers: width, MaxActive: 1})
+		release := make(chan struct{})
+		started := make(chan struct{})
+		blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
+			close(started)
+			<-release
+		})
+		<-started
+		sets := [][]mat.View{u1, clone(u1), u2, bad, clone(u2)}
+		tickets := make([]*Ticket, len(sets))
+		for i, u := range sets {
+			tickets[i] = s.SubmitMTTKRP(MTTKRPRequest{X: x, Factors: u, Mode: 1, Method: method})
+		}
+		close(release)
+		if err := blocker.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for i, tk := range tickets {
+			got, err := tk.MTTKRP()
+			if i == 3 {
+				if err == nil {
+					t.Fatalf("%v: member with mismatched factors succeeded", method)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%v member %d: %v", method, i, err)
+			}
+			want := core.ComputeInto(mat.NewDense(x.Dim(1), 5), method, x, sets[i], 1, core.Options{Threads: width, Pool: pool})
+			bitsEqual(t, got, want, fmt.Sprintf("%v member %d", method, i))
+		}
+		st := s.Stats()
+		s.Close()
+		if st.Coalesced != len(sets)-1 || st.Batches != 2 || st.Completed != len(sets)+1 || st.Failed != 1 {
+			t.Fatalf("%v: stats %+v, want one batch of %d (%d coalesced), 1 failed", method, st, len(sets), len(sets)-1)
+		}
 	}
 }
 
@@ -452,5 +529,249 @@ func TestServeSteadyStateDst(t *testing.T) {
 			t.Fatal("result not written through the retained dst")
 		}
 		matsEqual(t, got, want, fmt.Sprintf("iteration %d", i))
+	}
+}
+
+// TestJoinWindowClosesAtAdmission pins the coalescing window: a same-key
+// request arriving while the batch is queued joins it; one arriving after
+// the batch has been popped for execution must open a new batch, never
+// append to the executing one.
+func TestJoinWindowClosesAtAdmission(t *testing.T) {
+	s := New(Config{Workers: 2, MaxActive: 1})
+	defer s.Close()
+
+	release := make(chan struct{})
+	started := make(chan struct{})
+	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
+		close(started)
+		<-release
+	})
+	<-started
+
+	gate := make(chan struct{})
+	entered := make(chan struct{})
+	a1 := s.submitFunc("k", 1, 0, func(parallel.Executor) {
+		close(entered)
+		<-gate
+	})
+	a2 := s.submitFunc("k", 1, 0, func(parallel.Executor) { <-gate }) // joins while queued
+	if st := s.Stats(); st.Coalesced != 1 {
+		t.Fatalf("coalesced = %d, want 1 (join while queued)", st.Coalesced)
+	}
+
+	close(release)
+	if err := blocker.Err(); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // batch "k" has been popped and is executing
+	a3 := s.submitFunc("k", 1, 0, func(parallel.Executor) {})
+	close(gate)
+	for i, tk := range []*Ticket{a1, a2, a3} {
+		if err := tk.Err(); err != nil {
+			t.Fatalf("ticket %d: %v", i, err)
+		}
+	}
+	s.Drain()
+	st := s.Stats()
+	if st.Coalesced != 1 {
+		t.Fatalf("coalesced = %d, want 1: a3 joined a batch already popped for execution", st.Coalesced)
+	}
+	if st.Batches != 3 {
+		t.Fatalf("batches = %d, want 3 (blocker, the a1+a2 batch, a3's own)", st.Batches)
+	}
+}
+
+// TestJoinWindowRaisesBatchCost pins that a join re-raises the batch's
+// total service estimate in the aging queue: a batch that has coalesced
+// three unit-cost items is 3× the work of a lone 1.5-cost request and
+// must stop outscoring it — per-item cost alone would let the bloated
+// batch keep jumping the queue.
+func TestJoinWindowRaisesBatchCost(t *testing.T) {
+	s := New(Config{Workers: 2, MaxActive: 1, AgeBias: 10 * time.Millisecond})
+	defer s.Close()
+
+	release := make(chan struct{})
+	started := make(chan struct{})
+	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
+		close(started)
+		<-release
+	})
+	<-started
+
+	order := make(chan string, 4)
+	var tickets []*Ticket
+	for i := 0; i < 3; i++ { // batch "a": 3 joined unit-cost items, totalCost 3
+		tickets = append(tickets, s.submitFunc("a", 1, 0, func(parallel.Executor) { order <- "a" }))
+	}
+	tickets = append(tickets, s.submitFunc("b", 1.5, 0, func(parallel.Executor) { order <- "b" }))
+
+	close(release)
+	if err := blocker.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i, tk := range tickets {
+		if err := tk.Err(); err != nil {
+			t.Fatalf("ticket %d: %v", i, err)
+		}
+	}
+	if first := <-order; first != "b" {
+		t.Fatalf("first admitted %q, want the lone 1.5-cost request to beat the 3-item unit-cost batch", first)
+	}
+}
+
+// TestJoinWindowCapClosesBatch pins the MaxBatch bound that keeps the
+// aging queue's starvation guarantee real: a full batch stops accepting
+// joiners (so a steady joiner stream cannot pin its score at a plateau
+// forever), and the next same-key arrival opens a fresh batch.
+func TestJoinWindowCapClosesBatch(t *testing.T) {
+	s := New(Config{Workers: 2, MaxActive: 1, MaxBatch: 2})
+	defer s.Close()
+
+	release := make(chan struct{})
+	started := make(chan struct{})
+	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
+		close(started)
+		<-release
+	})
+	<-started
+	var tickets []*Ticket
+	for i := 0; i < 5; i++ {
+		tickets = append(tickets, s.submitFunc("k", 1, 0, func(parallel.Executor) {}))
+	}
+	close(release)
+	if err := blocker.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i, tk := range tickets {
+		if err := tk.Err(); err != nil {
+			t.Fatalf("ticket %d: %v", i, err)
+		}
+	}
+	s.Drain()
+	st := s.Stats()
+	// 5 submissions at cap 2 → batches of 2, 2, 1: two joins, plus the
+	// blocker's batch makes 4 executed batches.
+	if st.Coalesced != 2 || st.Batches != 4 {
+		t.Fatalf("stats %+v: want 2 coalesced and 4 batches (2+2+1 under MaxBatch=2, plus the blocker)", st)
+	}
+
+	// The boundary configuration: MaxBatch=1 must never coalesce — a
+	// fresh batch already holds one item, so no join window opens.
+	s1 := New(Config{Workers: 2, MaxActive: 1, MaxBatch: 1})
+	defer s1.Close()
+	release1 := make(chan struct{})
+	started1 := make(chan struct{})
+	blocker1 := s1.submitFunc("", 0, 0, func(parallel.Executor) {
+		close(started1)
+		<-release1
+	})
+	<-started1
+	t1 := s1.submitFunc("k", 1, 0, func(parallel.Executor) {})
+	t2 := s1.submitFunc("k", 1, 0, func(parallel.Executor) {})
+	close(release1)
+	for i, tk := range []*Ticket{blocker1, t1, t2} {
+		if err := tk.Err(); err != nil {
+			t.Fatalf("MaxBatch=1 ticket %d: %v", i, err)
+		}
+	}
+	s1.Drain()
+	if st := s1.Stats(); st.Coalesced != 0 || st.Batches != 3 {
+		t.Fatalf("MaxBatch=1 stats %+v: want 0 coalesced, 3 batches", st)
+	}
+}
+
+// TestJoinWindowSurvivesCapCloseAdmission pins the open-map identity
+// guard: after a cap-closed batch A leaves the join window, a newer
+// batch B reuses the key; admitting A must not close B's window — a
+// same-key arrival while A executes still joins B.
+func TestJoinWindowSurvivesCapCloseAdmission(t *testing.T) {
+	// EvenSplit: FIFO admission guarantees A (older) pops before B.
+	s := New(Config{Workers: 2, MaxActive: 1, MaxBatch: 2, EvenSplit: true})
+	defer s.Close()
+
+	release := make(chan struct{})
+	started := make(chan struct{})
+	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
+		close(started)
+		<-release
+	})
+	<-started
+
+	gate := make(chan struct{})
+	entered := make(chan struct{})
+	a1 := s.submitFunc("k", 1, 0, func(parallel.Executor) {
+		close(entered)
+		<-gate
+	})
+	a2 := s.submitFunc("k", 1, 0, func(parallel.Executor) { <-gate }) // fills A: cap-closed
+	b1 := s.submitFunc("k", 1, 0, func(parallel.Executor) {})         // opens B under the same key
+	if st := s.Stats(); st.Coalesced != 1 {
+		t.Fatalf("coalesced = %d, want 1 (A filled to its cap)", st.Coalesced)
+	}
+
+	close(release)
+	if err := blocker.Err(); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // A popped and executing; B still queued and must stay joinable
+	b2 := s.submitFunc("k", 1, 0, func(parallel.Executor) {})
+	close(gate)
+	for i, tk := range []*Ticket{a1, a2, b1, b2} {
+		if err := tk.Err(); err != nil {
+			t.Fatalf("ticket %d: %v", i, err)
+		}
+	}
+	s.Drain()
+	st := s.Stats()
+	if st.Coalesced != 2 {
+		t.Fatalf("coalesced = %d, want 2: admitting cap-closed A closed B's join window", st.Coalesced)
+	}
+	if st.Batches != 3 {
+		t.Fatalf("batches = %d, want 3 (blocker, A×2, B×2)", st.Batches)
+	}
+}
+
+// TestJoinWindowRace hammers the join window from many submitters while
+// batches continuously pop for execution, under -race in CI. The drain
+// invariants catch a lost joiner (an item appended after its batch was
+// popped would never execute): every submission completes, and every
+// accepted request either opened a batch or was counted coalesced.
+func TestJoinWindowRace(t *testing.T) {
+	s := New(Config{Workers: 4, MaxActive: 2})
+	const (
+		submitters = 8
+		perG       = 50
+	)
+	var wg sync.WaitGroup
+	tickets := make([][]*Ticket, submitters)
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				key := "k"
+				if i%5 == 0 {
+					key = "" // interleave keyless batches to churn the slots
+				}
+				tickets[g] = append(tickets[g], s.submitFunc(key, 1, 0, func(parallel.Executor) {}))
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range tickets {
+		for i, tk := range tickets[g] {
+			if err := tk.Err(); err != nil {
+				t.Fatalf("submitter %d request %d: %v", g, i, err)
+			}
+		}
+	}
+	s.Drain()
+	st := s.Stats()
+	s.Close()
+	if st.Submitted != submitters*perG || st.Completed != st.Submitted || st.Failed != 0 {
+		t.Fatalf("stats %+v: want %d submitted == completed, 0 failed", st, submitters*perG)
+	}
+	if st.Batches+st.Coalesced != st.Submitted {
+		t.Fatalf("stats %+v: every request must either open a batch or be coalesced exactly once", st)
 	}
 }

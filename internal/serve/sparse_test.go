@@ -137,10 +137,10 @@ func TestServeSparseCP(t *testing.T) {
 	}
 }
 
-// TestServeSparseDoesNotFuse pins that same-shape sparse requests coalesce
-// into batches (lease amortization) but never build a KRP plan — fusion is
-// a dense-only optimization.
-func TestServeSparseDoesNotFuse(t *testing.T) {
+// TestServeSparseCoalesces pins that same-shape sparse requests coalesce
+// into batches (lease amortization) and each member's result matches the
+// direct sparse kernel.
+func TestServeSparseCoalesces(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 1})
 	defer s.Close()
 	xs, us := sparseProblem(5, 0.05, 4, 10, 9, 8)
@@ -169,8 +169,5 @@ func TestServeSparseDoesNotFuse(t *testing.T) {
 	st := s.Stats()
 	if st.Coalesced == 0 {
 		t.Fatal("same-shape sparse requests did not coalesce")
-	}
-	if st.Fused != 0 {
-		t.Fatalf("%d sparse batches fused; fusion is dense-only", st.Fused)
 	}
 }

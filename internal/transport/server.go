@@ -364,7 +364,7 @@ func (s *Server) admission(w http.ResponseWriter, r *http.Request, h *Header) (c
 		if iters <= 0 {
 			iters = s.cfg.CPIters
 		}
-		estimate = model.CP(h.Dims, h.Rank, iters)
+		estimate = model.CP(h.Dims, h.Rank, iters, h.Method)
 	case OpSparseMTTKRP:
 		// Priced from the header's nnz — before any payload is read —
 		// so a sparse request's admission cost scales with its stored
